@@ -20,7 +20,9 @@ K1 = sup f^(1/m), base point z0 (the barycenter) and K2 = K1 |xi - z0|^2:
 
 Then v_xi(xi) = phi(xi), v_xi <= phi on the boundary, and the envelope
 v = max over sampled xi is a subsolution agreeing with phi at the samples.
-The supersolution is the negated envelope built for -phi.
+It keeps its K barriers as parameter arrays, one row per xi, and evaluates
+them in point blocks as one (points x K) matrix.  The supersolution is the
+negated envelope built for -phi.
 
 All inequalities above are exact when the modulus curve supplied with the
 boundary data majorizes the true modulus (the named data sets ship exact
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,84 +208,105 @@ def psi_example_solution(z):
 # ---------------------------------------------------------------------------
 # Parameter derivation
 
+_PER_POINT = ("r", "r1", "gamma1", "gamma2", "K2")
+
 
 @dataclass
 class BarrierParams:
+    """Parameters of K point barriers, one row per boundary point xi.
+
+    ``r``, ``r1``, ``gamma1``, ``gamma2`` and ``K2`` are (K,) arrays and
+    ``xi`` is (K, n); ``B``, ``K1`` and ``z0`` are shared.  Scalars and a
+    single xi are taken as one row.
+    """
+
     B: float
-    r: float
-    r1: float
-    gamma1: float
-    gamma2: float
+    r: np.ndarray
+    r1: np.ndarray
+    gamma1: np.ndarray
+    gamma2: np.ndarray
     K1: float
-    K2: float
+    K2: np.ndarray
     xi: np.ndarray
     z0: np.ndarray
 
+    def __post_init__(self):
+        for name in _PER_POINT:
+            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
+        self.xi = np.atleast_2d(np.asarray(self.xi, dtype=complex))
+
+    def __len__(self):
+        return self.xi.shape[0]
+
+    def __getitem__(self, i: int) -> "BarrierParams":
+        """The parameters of barrier i alone."""
+        return replace(self, **{name: getattr(self, name)[[i]] for name in (*_PER_POINT, "xi")})
+
     def describe(self) -> dict:
-        return {
-            "B": self.B,
-            "r": self.r,
-            "r1": self.r1,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "K1": self.K1,
-            "K2": self.K2,
-        }
+        """Scalar parameters of a single barrier."""
+        row = {name: getattr(self, name).item() for name in _PER_POINT}
+        return {"B": self.B, "K1": self.K1, **row}
 
 
-def cone_coefficient(domain: Domain, m: int, probes: int = 16, seed: int = 0) -> float:
+def cone_coefficient(domain: Domain, m: int) -> float:
     """Smallest power-of-two multiple of 1/A with B hess(rho) - I in the cone.
 
-    A is the pseudoconvexity constant; for the model domains hess(rho) is
-    constant so one probe point decides, but several are checked anyway.
+    A is the pseudoconvexity constant; hess(rho) is constant on the model
+    domains, so one matrix decides.
     """
     from .geometry import pseudoconvexity_constant
 
-    a_const = pseudoconvexity_constant(domain, m, samples=max(probes, 8), seed=seed)
-    pts = sample_interior(domain, probes, seed + 17)
+    a_const = pseudoconvexity_constant(domain, m)
+    hess = domain.hess_rho()
     for k in range(64):
         b = 2.0**k / a_const
-        ok = True
-        for z in pts:
-            eigs = np.linalg.eigvalsh(b * domain.hess_rho(z) - np.eye(domain.n))
-            if not core.gamma_m_contains(eigs, m).member:
-                ok = False
-                break
-        if ok:
+        eigs = np.linalg.eigvalsh(b * hess - np.eye(domain.n))
+        if core.gamma_m_contains(eigs, m).member:
             return b
     raise DomainError("no admissible cone coefficient found")
 
 
-def _choose_radius(domain: Domain, xi, b_coeff: float, seed, samples: int = 256) -> float:
-    """Largest r (bisected) with |g| <= d^2 sampled on B(xi, r) inside the domain."""
-    d2 = domain.diameter**2
+def _unit_ball(seed, n: int, samples: int) -> np.ndarray:
+    """Seeded uniform samples of the unit ball in C^n, shape (samples, n)."""
     rng = np.random.default_rng(_child_seed(seed))
-    n = domain.n
     g = rng.standard_normal((samples, 2 * n))
     g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
     radii = rng.random(samples) ** (1.0 / (2 * n))
-    unit = (g[:, 0::2] + 1j * g[:, 1::2]) * radii[:, None]
+    return (g[:, 0::2] + 1j * g[:, 1::2]) * radii[:, None]
 
-    def max_abs_g(r):
-        z = xi + r * unit
-        rho = domain.rho(z)
-        inside = rho <= 0.0
-        if not np.any(inside):
-            return 0.0
-        s = (np.abs(z[inside] - xi) ** 2).sum(axis=-1)
-        return float(np.max(np.abs(b_coeff * rho[inside] - s)))
 
-    hi = domain.diameter
-    if max_abs_g(hi) <= d2:
-        return hi
-    lo = 1e-6 * domain.diameter
+def _max_abs_g(domain: Domain, xi, b_coeff: float, z) -> np.ndarray:
+    """Max of |g| = |B rho - |z - xi|^2| over the samples z inside the domain.
+
+    Reduces the sample axis of ``z`` (..., samples, n); 0 where no sample
+    is inside.
+    """
+    rho = domain.rho(z)
+    s = (np.abs(z - xi) ** 2).sum(axis=-1)
+    return np.where(rho <= 0.0, np.abs(b_coeff * rho - s), 0.0).max(axis=-1)
+
+
+def _choose_radius(domain: Domain, xis, b_coeff: float, seeds, samples: int = 256) -> np.ndarray:
+    """Largest r per xi with |g| <= d^2 sampled on B(xi, r) inside the domain.
+
+    r = d where that already holds; the other xi are bisected together.
+    Each xi draws its samples from its own stream ``(seed, 104729)``.
+    """
+    d = domain.diameter
+    unit = np.stack([_unit_ball((seed, 104729), domain.n, samples) for seed in seeds])
+    xis = xis[:, None, :]
+    r = np.full(len(unit), d)
+    todo = _max_abs_g(domain, xis, b_coeff, xis + d * unit) > d * d
+    xis, unit = xis[todo], unit[todo]
+    lo = np.full(len(unit), 1e-6 * d)
+    hi = np.full(len(unit), d)
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if max_abs_g(mid) <= d2:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        ok = _max_abs_g(domain, xis, b_coeff, xis + mid[:, None, None] * unit) <= d * d
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    r[todo] = lo
+    return r
 
 
 def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> ModulusCurve:
@@ -303,47 +326,24 @@ def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> 
 # ---------------------------------------------------------------------------
 # Evaluators
 
-
-class PointBarrier:
-    """The single-boundary-point subsolution v_xi as a vectorized evaluator."""
-
-    def __init__(self, params: BarrierParams, domain: Domain, omega_bar: ModulusCurve, phi_xi: float):
-        self.params = params
-        self.domain = domain
-        self.omega_bar = omega_bar
-        self.phi_xi = float(phi_xi)
-
-    def _branches(self, z):
-        p = self.params
-        z = np.asarray(z, dtype=complex)
-        s = (np.abs(z - p.xi) ** 2).sum(axis=-1)
-        rho = self.domain.rho(z)
-        rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
-        neg_g = np.maximum(s - p.B * rho, 0.0)
-        arg = np.minimum(np.sqrt(neg_g), self.omega_bar.length)
-        chi = -np.interp(arg, self.omega_bar.t, self.omega_bar.w)
-        near = p.gamma1 * chi + self.phi_xi
-        quad = p.K1 * (np.abs(z - p.z0) ** 2).sum(axis=-1) - p.K2
-        inside = s < p.r1 * p.r1
-        b1 = np.where(inside, near, -np.inf) + quad
-        b2 = p.gamma2 + quad
-        return b1, b2
-
-    def __call__(self, z):
-        b1, b2 = self._branches(z)
-        return np.maximum(b1, b2)
-
-    def branch_values(self, z):
-        return self._branches(z)
+# points x barriers per evaluation block, the pair budget of estimate_modulus
+BLOCK_ELEMENTS = 2_000_000
 
 
 class BarrierEnvelope:
-    """Pointwise maximum of point barriers; the constructed subsolution."""
+    """Pointwise maximum of K point barriers; the constructed subsolution.
 
-    def __init__(self, barriers, data: BoundaryData, domain: Domain, m: int, f_sup: float, seed: int):
-        if not barriers:
+    ``barriers`` holds the parameters of all K barriers as arrays and
+    ``phi_xi`` the (K,) data values at their boundary points.
+    """
+
+    def __init__(self, barriers: BarrierParams, phi_xi, omega_bar: ModulusCurve,
+                 data: BoundaryData, domain: Domain, m: int, f_sup: float, seed):
+        if len(barriers) < 1:
             raise ArgumentError("envelope needs at least one point barrier")
         self.barriers = barriers
+        self.phi_xi = np.asarray(phi_xi, dtype=float)
+        self.omega_bar = omega_bar
         self.data = data
         self.domain = domain
         self.m = m
@@ -352,46 +352,60 @@ class BarrierEnvelope:
 
     @property
     def xis(self) -> np.ndarray:
-        return np.stack([b.params.xi for b in self.barriers])
+        return self.barriers.xi
+
+    def _branches(self, z):
+        """Yield (rows, far, near) over point blocks of the (points, n) array z.
+
+        ``near`` is the (points, K) matrix of near-field branches, -inf
+        outside B(xi, r1); ``far`` is the max of the K copies of the far
+        branch gamma2 + K1 |z - z0|^2 - K2, which differ only by rounding.
+        """
+        p = self.barriers
+        bar = self.omega_bar
+        step = max(1, BLOCK_ELEMENTS // len(p))
+        for a in range(0, z.shape[0], step):
+            rows = slice(a, a + step)
+            zb = z[rows]
+            # one coordinate at a time keeps every temporary at (points, K)
+            s = sum(np.abs(zb[:, j, None] - p.xi[:, j]) ** 2 for j in range(zb.shape[1]))
+            rho = self.domain.rho(zb)
+            rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
+            neg_g = np.maximum(s - (p.B * rho)[:, None], 0.0)
+            chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
+            quad = (p.K1 * (np.abs(zb - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
+            near = np.where(s < p.r1 * p.r1, p.gamma1 * chi + self.phi_xi, -np.inf) + quad
+            yield rows, (p.gamma2 + quad).max(axis=1), near
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        squeeze = z.ndim == 1
-        if squeeze:
-            z = z[None, :]
-        best = np.full(z.shape[0], -np.inf)
-        for b in self.barriers:
-            best = np.maximum(best, b(z))
-        return best[0] if squeeze else best
+        flat = np.atleast_2d(z)
+        out = np.empty(flat.shape[0])
+        for rows, far, near in self._branches(flat):
+            out[rows] = np.maximum(far, near.max(axis=1))
+        return out[0] if z.ndim == 1 else out
 
     def branch_info(self, z):
-        """Active branch id and the gap to the best competing branch.
+        """Active branch id, gap to the best competing branch, and value.
 
-        Branch 0 is the far branch gamma2 + K1 |z - z0|^2 - K2, which is one
-        and the same function for every barrier (the K2 offsets cancel), so
-        its copies are collapsed before computing the gap; branch i >= 1 is
-        the near field of barrier i - 1.  A large gap means the envelope is
-        locally a single smooth branch, where finite differences make sense.
+        The branches are [far, near_0, ..., near_{K-1}]: branch 0 is the far
+        branch, branch i >= 1 the near field of barrier i - 1.  The id is the
+        first argmax and the gap the difference of the two largest values.
+        The top value is the envelope value, since max does not round.  A
+        large gap means the envelope is locally a single smooth branch,
+        where finite differences make sense.
         """
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 1:
-            z = z[None, :]
-        npts = z.shape[0]
-        far = np.full(npts, -np.inf)
-        nears = []
-        for b in self.barriers:
-            b1, b2 = b.branch_values(z)
-            far = np.maximum(far, b2)
-            nears.append(b1)
-        top = far.copy()
-        second = np.full(npts, -np.inf)
-        branch = np.zeros(npts, dtype=int)
-        for i, vals in enumerate(nears):
-            better = vals > top
-            second = np.where(better, top, np.maximum(second, vals))
-            branch = np.where(better, i + 1, branch)
-            top = np.where(better, vals, top)
-        return branch, top - second
+        z = np.atleast_2d(np.asarray(z, dtype=complex))
+        branch = np.empty(z.shape[0], dtype=int)
+        gap = np.empty(z.shape[0])
+        top = np.empty(z.shape[0])
+        for rows, far, near in self._branches(z):
+            vals = np.concatenate([far[:, None], near], axis=1)
+            branch[rows] = np.argmax(vals, axis=1)
+            ranked = np.partition(vals, -2, axis=1)
+            top[rows] = ranked[:, -1]
+            gap[rows] = ranked[:, -1] - ranked[:, -2]
+        return branch, gap, top
 
     def boundary_values(self):
         xis = self.xis
@@ -412,6 +426,41 @@ class NegatedEnvelope:
 # Builders
 
 
+def _envelope(
+    xis, seeds, data: BoundaryData, domain: Domain, m: int, f_sup: float, seed,
+    b_coeff: float, omega_bar: ModulusCurve,
+) -> BarrierEnvelope:
+    """Derive the parameters of the barriers at the boundary points xis."""
+    d = domain.diameter
+    k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
+    r = _choose_radius(domain, xis, b_coeff, seeds)
+    r1 = 0.5 * r
+
+    k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
+    rmin, rmax = domain.boundary_radius_range()
+    gamma2 = data.inf_phi - k1 * rmax**2 + k2
+    sup_shifted = data.sup_phi - k1 * rmin**2 + k2
+    osc = np.maximum(sup_shifted - gamma2, 0.0)
+    bar_r1 = omega_bar(r1)
+    # the first branch must drop below gamma2 on the gluing sphere
+    lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
+    gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
+
+    params = BarrierParams(
+        B=b_coeff,
+        r=r,
+        r1=r1,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        K1=k1,
+        K2=k2,
+        xi=xis,
+        z0=domain.barycenter,
+    )
+    phi_xi = np.asarray(data.phi(xis), dtype=float)
+    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
+
+
 def build_point_barrier(
     xi,
     data: BoundaryData,
@@ -422,8 +471,8 @@ def build_point_barrier(
     seed: int = 0,
     b_coeff: float | None = None,
     omega_bar: ModulusCurve | None = None,
-) -> PointBarrier:
-    """Assemble v_xi for one boundary point.
+) -> BarrierEnvelope:
+    """Assemble v_xi for one boundary point, as a one-point envelope.
 
     When ``params`` is supplied its radius is revalidated against the
     sampled |g| <= d^2 requirement (a violation raises); otherwise all
@@ -440,58 +489,17 @@ def build_point_barrier(
     if omega_bar is None:
         omega_bar = shifted_modulus_majorant(data, k1, d)
 
-    if params is not None:
-        if _max_abs_g_sample(domain, xi, params.B, params.r, seed) > d * d * (1 + 1e-9):
-            raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
-        phi_xi = float(np.asarray(data.phi(xi[None, :]))[0])
-        return PointBarrier(params, domain, omega_bar, phi_xi)
+    if params is None:
+        if b_coeff is None:
+            b_coeff = cone_coefficient(domain, m)
+        return _envelope(xi[None, :], [seed], data, domain, m, f_sup, seed, b_coeff, omega_bar)
 
-    if b_coeff is None:
-        b_coeff = cone_coefficient(domain, m, seed=_child_seed(seed)[0] % (2**31))
-    r = _choose_radius(domain, xi, b_coeff, seed=(seed, 104729))
-    r1 = 0.5 * r
-
-    k2 = k1 * float((np.abs(xi) ** 2).sum())
-    rmin2 = domain.boundary_radius_range()[0] ** 2
-    rmax2 = domain.boundary_radius_range()[1] ** 2
-    gamma2 = data.inf_phi - k1 * rmax2 + k2
-    sup_shifted = data.sup_phi - k1 * rmin2 + k2
-    osc = max(sup_shifted - gamma2, 0.0)
-    bar_r1 = float(omega_bar(r1))
-    gamma1 = d / r1
-    if osc > 0.0 and bar_r1 > 0.0:
-        gamma1 = max(gamma1, osc / bar_r1)
-    gamma1 *= 1.05  # slack for the sampled gluing inequality
-
-    phi_xi = float(np.asarray(data.phi(xi[None, :]))[0])
-    params = BarrierParams(
-        B=b_coeff,
-        r=r,
-        r1=r1,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        K1=k1,
-        K2=k2,
-        xi=xi,
-        z0=domain.barycenter,
-    )
-    return PointBarrier(params, domain, omega_bar, phi_xi)
-
-
-def _max_abs_g_sample(domain: Domain, xi, b_coeff: float, r: float, seed, samples: int = 512) -> float:
-    rng = np.random.default_rng(_child_seed(seed, 7919))
-    n = domain.n
-    g = rng.standard_normal((samples, 2 * n))
-    g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
     # the domain sits inside B(xi, diameter), so larger radii add nothing
-    radii = min(r, domain.diameter) * rng.random(samples) ** (1.0 / (2 * n))
-    z = xi + (g[:, 0::2] + 1j * g[:, 1::2]) * radii[:, None]
-    rho = domain.rho(z)
-    inside = rho <= 0.0
-    if not np.any(inside):
-        return 0.0
-    s = (np.abs(z[inside] - xi) ** 2).sum(axis=-1)
-    return float(np.max(np.abs(b_coeff * rho[inside] - s)))
+    z = xi + min(params.r.item(), d) * _unit_ball((seed, 7919), domain.n, 512)
+    if _max_abs_g(domain, xi, params.B, z) > d * d * (1 + 1e-9):
+        raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
+    phi_xi = np.asarray(data.phi(xi[None, :]), dtype=float)
+    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
 
 
 def build_subsolution(
@@ -507,7 +515,8 @@ def build_subsolution(
 
     ``f`` is the density evaluator (None means zero); ``f_sup`` should be
     its exact supremum when known, otherwise it is estimated from interior
-    and boundary samples.
+    and boundary samples.  Barrier i draws its radius samples from the
+    stream ``(seed, i)``.
     """
     if xi_count < 1:
         raise ArgumentError("xi_count must be >= 1")
@@ -520,23 +529,11 @@ def build_subsolution(
             )
             f_sup = float(np.max(np.asarray(f(probe), dtype=float)))
     k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
-    b_coeff = cone_coefficient(domain, m, seed=seed)
+    b_coeff = cone_coefficient(domain, m)
     omega_bar = shifted_modulus_majorant(data, k1, domain.diameter)
     xis = sample_boundary(domain, xi_count, seed)
-    barriers = [
-        build_point_barrier(
-            xi,
-            data,
-            domain,
-            m,
-            f_sup=f_sup,
-            seed=(seed, i),
-            b_coeff=b_coeff,
-            omega_bar=omega_bar,
-        )
-        for i, xi in enumerate(xis)
-    ]
-    return BarrierEnvelope(barriers, data, domain, m, f_sup, seed)
+    seeds = [(seed, i) for i in range(xi_count)]
+    return _envelope(xis, seeds, data, domain, m, f_sup, seed, b_coeff, omega_bar)
 
 
 def build_supersolution(
@@ -685,9 +682,12 @@ def verify_modulus_bound(
 
 
 def fd_stencil(z, h: float) -> np.ndarray:
-    """All evaluation nodes of the dense central-difference Hessian."""
+    """All evaluation nodes of the dense central-difference Hessian.
+
+    ``z`` is one point (n,) or a stack (..., n); nodes come as (..., S, n).
+    """
     z = np.asarray(z, dtype=complex)
-    n = z.size
+    n = z.shape[-1]
     dim = 2 * n
     offsets = np.zeros((dim, n), dtype=complex)
     for j in range(n):
@@ -704,7 +704,7 @@ def fd_stencil(z, h: float) -> np.ndarray:
                 z - offsets[a] + offsets[b],
                 z - offsets[a] - offsets[b],
             ]
-    return np.stack(nodes)
+    return np.stack(nodes, axis=-2)
 
 
 def _hessian_from_stencil(values: np.ndarray, dim: int, h: float) -> np.ndarray:
@@ -750,18 +750,27 @@ class ProbeSummary:
     scale: float
 
 
-def _smooth_stencil_values(envelope: BarrierEnvelope, z, h: float):
-    """Envelope values on the stencil when it sits on one smooth branch.
+def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float):
+    """Probe point count and (z, complex Hessian) at the smooth probe points.
 
-    Returns None at kink points of the max-glue (branch changes inside the
-    stencil, or a zero runner-up gap); the one-sided derivatives there only
-    add positivity, which finite differences cannot certify.
+    Probe points are interior samples deeper than the stencil.  A point is
+    smooth when its whole stencil sits on one branch with a positive
+    runner-up gap.  Kink points of the max-glue are skipped: the one-sided
+    derivatives there only add positivity, which finite differences cannot
+    certify.
     """
-    nodes = fd_stencil(z, h)
-    branch, gap = envelope.branch_info(nodes)
-    if not (np.all(branch == branch[0]) and np.min(gap) > 0.0):
-        return None
-    return np.asarray(envelope(nodes), dtype=float)
+    domain = envelope.domain
+    pts = sample_interior(domain, 4 * count, seed)
+    depth = np.abs(domain.rho(pts)) / domain.lipschitz_rho()
+    pts = pts[depth > 4.0 * h * math.sqrt(2 * domain.n)][:count]
+    nodes = fd_stencil(pts, h)
+    info = envelope.branch_info(nodes.reshape(-1, domain.n))
+    branch, gap, values = (x.reshape(nodes.shape[:2]) for x in info)
+    smooth = np.all(branch == branch[:, :1], axis=1) & (gap.min(axis=1) > 0.0)
+    return pts.shape[0], [
+        (z, core.complex_hessian_from_real(_symmetrized(_hessian_from_stencil(v, 2 * domain.n, h))))
+        for z, v in zip(pts[smooth], values[smooth])
+    ]
 
 
 def msh_probe(
@@ -771,28 +780,18 @@ def msh_probe(
     h: float = 1e-5,
 ) -> ProbeSummary:
     """Cone membership of the finite-difference Hessian at smooth points."""
-    domain = envelope.domain
     m = envelope.m
-    pts = sample_interior(domain, 4 * count, seed)
-    depth = np.abs(domain.rho(pts)) / domain.lipschitz_rho()
-    pts = pts[depth > 4.0 * h * math.sqrt(2 * domain.n)][:count]
+    tested, smooth = _smooth_hessians(envelope, count, seed, h)
     margins = []
     scale = 1.0
-    smooth = 0
-    for z in pts:
-        values = _smooth_stencil_values(envelope, z, h)
-        if values is None:
-            continue
-        smooth += 1
-        q = _hessian_from_stencil(values, 2 * domain.n, h)
-        a = core.complex_hessian_from_real(_symmetrized(q))
+    for _, a in smooth:
         eigs = np.linalg.eigvalsh(a)
         rep = core.gamma_m_contains(eigs, m, tol=math.inf)
         margins.append(rep.margin)
         scale = max(scale, (1.0 + float(np.max(np.abs(eigs)))) ** m)
     return ProbeSummary(
-        points_tested=int(pts.shape[0]),
-        points_smooth=smooth,
+        points_tested=tested,
+        points_smooth=len(smooth),
         min_margin=float(min(margins)) if margins else 0.0,
         scale=scale,
     )
@@ -809,22 +808,13 @@ def lalpha_probe(
     """Sampled subsolution test: l_alpha(v) >= f^(1/m) at smooth points."""
     domain = envelope.domain
     m = envelope.m
-    pts = sample_interior(domain, 4 * count, seed)
-    depth = np.abs(domain.rho(pts)) / domain.lipschitz_rho()
-    pts = pts[depth > 4.0 * h * math.sqrt(2 * domain.n)][:count]
+    tested, smooth = _smooth_hessians(envelope, count, seed, h)
     tuples = []
     if m >= 2:
         forms = core.sample_sigma_m(domain.n, m, alpha_samples * (m - 1), seed + 1)
         tuples = [forms[i * (m - 1) : (i + 1) * (m - 1)] for i in range(alpha_samples)]
     margins = []
-    smooth = 0
-    for z in pts:
-        values = _smooth_stencil_values(envelope, z, h)
-        if values is None:
-            continue
-        smooth += 1
-        q = _hessian_from_stencil(values, 2 * domain.n, h)
-        a = core.complex_hessian_from_real(_symmetrized(q))
+    for z, a in smooth:
         target = 0.0
         if f is not None:
             target = float(np.asarray(f(z[None, :]))[0]) ** (1.0 / m)
@@ -834,8 +824,8 @@ def lalpha_probe(
             for tup in tuples:
                 margins.append(core.polarized_form([a, *tup]) - target)
     return ProbeSummary(
-        points_tested=int(pts.shape[0]),
-        points_smooth=smooth,
+        points_tested=tested,
+        points_smooth=len(smooth),
         min_margin=float(min(margins)) if margins else 0.0,
         scale=1.0,
     )

@@ -26,7 +26,6 @@ def _report(args, result: dict, name: str, extra_files: dict | None = None) -> s
         "version": __version__,
         "seed": getattr(args, "seed", None),
         "tol": getattr(args, "tol", None),
-        "threads": getattr(args, "threads", None),
         "result": result,
     }
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -128,7 +127,7 @@ def cmd_barrier(args) -> int:
     result["domain"] = args.domain
     result["phi"] = args.phi
     result["f"] = args.f
-    result["params_first"] = env.barriers[0].params.describe()
+    result["params_first"] = env.barriers[0].describe()
     sys.stdout.write(_report(args, result, "barrier"))
     return 0
 
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=None)
     common.add_argument("--output-dir", default=None)
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallelism cap; results do not depend on it")
     common.add_argument("--config", default=None,
                         help="key=value file mirroring flags; flags win")
 

@@ -255,6 +255,8 @@ def sample_gamma_hat(n: int, m: int, count: int, seed: int, eps: float = 0.01):
     Draws A = G G* + eps I with complex Gaussian G, which is positive
     definite, hence inside every cone.  Deterministic for a fixed seed.
     """
+    if not 1 <= m <= n:
+        raise ArgumentError(f"m={m} out of range for n={n}")
     if count < 1:
         raise ArgumentError("count must be >= 1")
     rng = np.random.default_rng(seed)

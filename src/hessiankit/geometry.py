@@ -109,31 +109,17 @@ class Domain:
         return self.rho(z) < tol
 
 
-def pseudoconvexity_constant(
-    domain: Domain, m: int, samples: int = 200, seed: int = 0
-) -> float:
-    """Min over sampled points and k = 1..m of sigma_tilde_k(hess rho).
+def pseudoconvexity_constant(domain: Domain, m: int) -> float:
+    """Min over k = 1..m of sigma_tilde_k(hess rho).
 
-    Sampling covers interior points plus a boundary collar of width 1% of
-    the diameter, since the defining inequality is required on a
-    neighbourhood of the closure.  For these constant-Hessian domains the
-    minimum is point-independent; the sampling guards the interface.
+    hess rho is constant on the model domains, so the value holds on every
+    neighbourhood of the closure.
     """
     if not 1 <= m <= domain.n:
         raise ArgumentError(f"m={m} out of range for n={domain.n}")
-    pts = sample_interior(domain, samples, seed)
-    collar = 0.01 * domain.diameter
-    bnd = sample_boundary(domain, samples, seed + 1)
-    norms = np.sqrt((np.abs(bnd) ** 2).sum(-1, keepdims=True))
-    outward = bnd * (1.0 + collar / np.maximum(norms, 1e-30))
-    points = np.concatenate([pts, bnd, outward], axis=0)
-    best = math.inf
     n = domain.n
-    for z in points:
-        lam = np.linalg.eigvalsh(domain.hess_rho(z))
-        h = elementary_symmetric_all(lam, m)
-        for k in range(1, m + 1):
-            best = min(best, h[k] / math.comb(n, k))
+    h = elementary_symmetric_all(np.linalg.eigvalsh(domain.hess_rho()), m)
+    best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
     if best <= 0:
         raise DomainError(f"domain is not strongly {m}-pseudoconvex (A={best})")
     return float(best)

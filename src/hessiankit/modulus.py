@@ -31,6 +31,8 @@ class ModulusCurve:
         w = np.asarray(w, dtype=float)
         if t.ndim != 1 or t.shape != w.shape or t.size < 2:
             raise ArgumentError("curve needs matching 1-d knots with >= 2 points")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+            raise ArgumentError("curve knots must be finite")
         if t[0] != 0.0 or w[0] != 0.0:
             raise ArgumentError("curve must start at (0, 0)")
         if np.any(np.diff(t) <= 0):
@@ -130,6 +132,8 @@ def estimate_modulus(
     n = pts.shape[0]
     if n < 2 or vals.shape != (n,):
         raise ArgumentError("need >= 2 points with one value per point")
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
+        raise ArgumentError("points and values must be finite")
 
     if np.isscalar(bins) or np.ndim(bins) == 0:
         k = int(bins)

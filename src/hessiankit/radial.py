@@ -369,22 +369,6 @@ def power_profile_coefficient(n: int, m: int, alpha: float, convention: str = "f
     return B * (1.0 / (2 * n - alpha)) ** (1.0 / m) * m / (2 * m - alpha)
 
 
-def calibrate_convention(n: int, m: int, grid: int = 64) -> float:
-    """B that makes the unit constant density solve with profile r^2 - 1.
-
-    With f = 1 the inner integral is t^(2n) / (2n) exactly, so the outer
-    integrand collapses to (1/(2n))^(1/m) * t and the B = 1 profile is
-    -(1/(2n))^(1/m) (1 - r^2) / 2.  Fitting a (r^2 - 1) by least squares and
-    returning 1 / a recovers B = 2 (2n)^(1/m) analytically.
-    """
-    r = np.linspace(0.0, 1.0, grid + 1)
-    scale = (1.0 / (2 * n)) ** (1.0 / m)
-    profile = scale * (r**2 - 1.0) / 2.0
-    basis = r**2 - 1.0
-    a = float(np.dot(profile, basis) / np.dot(basis, basis))
-    return 1.0 / a
-
-
 # ---------------------------------------------------------------------------
 # Verification operations
 

@@ -79,7 +79,7 @@ class TestPointBarrier:
         data = barrier.boundary_re_z1(BALL)
         xi = geometry.sample_boundary(BALL, 1, seed=10)[0]
         vb = barrier.build_point_barrier(xi, data, BALL, m=2, f_sup=1.0, seed=11)
-        p = vb.params
+        p = vb.barriers
         assert 0 < p.r1 < p.r
         assert p.gamma1 >= BALL.diameter / p.r1
         eigs = np.linalg.eigvalsh(p.B * BALL.hess_rho() - np.eye(2))
@@ -98,8 +98,8 @@ class TestPointBarrier:
         xi = geometry.sample_boundary(BALL, 1, seed=12)[0]
         good = barrier.build_point_barrier(xi, data, BALL, m=2, seed=13)
         params = barrier.BarrierParams(
-            B=200.0, r=good.params.r, r1=good.params.r1,
-            gamma1=good.params.gamma1, gamma2=good.params.gamma2,
+            B=200.0, r=good.barriers.r, r1=good.barriers.r1,
+            gamma1=good.barriers.gamma1, gamma2=good.barriers.gamma2,
             K1=0.0, K2=0.0, xi=xi, z0=BALL.barycenter,
         )
         with pytest.raises(ArgumentError):
@@ -118,7 +118,7 @@ class TestPointBarrier:
         t, w = curve.t[1:], curve.w[1:]
         denom = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
         c_fit = float(np.max(w / denom))
-        p = vb.params
+        p = vb.barriers
         lip_rho = BALL.lipschitz_rho()
         c_bound = p.gamma1 * (1.0 + math.sqrt(2.0 * BALL.diameter + p.B * lip_rho))
         assert c_fit <= c_bound
@@ -192,6 +192,58 @@ class TestEnvelope:
         assert np.max(vals - sol.interp(radii)) <= 1e-6  # interp bias only
 
 
+class TestBatchedEnvelope:
+    """The K-point envelope against the per-point loop it replaces."""
+
+    @pytest.mark.parametrize(
+        "dom, spec, f_sup",
+        [
+            (BALL, "re_z1", 0.0),
+            (Domain.ellipsoid([1.0, 4.0]), "re_z1", 0.0),
+            (BALL, "re_z1", 1.0),
+            (Domain.ball(3, 1.0), "re_z1", 1.0),
+            (BALL, "const:-1.75", 0.0),  # every branch ties at the data value
+        ],
+        ids=["ball", "ellipsoid", "ball-f1", "ball3-f1", "ball-ties"],
+    )
+    def test_matches_per_point_loop(self, dom, spec, f_sup):
+        data = barrier.make_boundary_data(spec, dom)
+        density = ones_density if f_sup > 0 else None
+        env = barrier.build_subsolution(data, density, dom, m=2, xi_count=40, seed=60, f_sup=f_sup)
+        b_coeff = barrier.cone_coefficient(dom, 2)
+        omega_bar = barrier.shifted_modulus_majorant(data, math.sqrt(f_sup), dom.diameter)
+        xis = geometry.sample_boundary(dom, 40, 60)
+        singles = [
+            barrier.build_point_barrier(
+                xi, data, dom, m=2, f_sup=f_sup, seed=(60, i), b_coeff=b_coeff, omega_bar=omega_bar
+            )
+            for i, xi in enumerate(xis)
+        ]
+        pts = np.concatenate([
+            barrier.verification_grid(dom, 600, seed=61, anchors=data.anchors),
+            geometry.sample_boundary(dom, 200, seed=62),
+            xis,
+            0.999 * xis,
+        ])
+        assert np.array_equal(env(pts), np.max([vb(pts) for vb in singles], axis=0))
+
+        # fold over [far, near_0, ...]; a strict > keeps the first maximum
+        blocks = [next(vb._branches(pts))[1:] for vb in singles]
+        top = np.max([far for far, _ in blocks], axis=0)
+        second = np.full(len(pts), -np.inf)
+        ids = np.zeros(len(pts), dtype=int)
+        for i, (_, near) in enumerate(blocks):
+            better = near[:, 0] > top
+            second = np.where(better, top, np.maximum(second, near[:, 0]))
+            ids = np.where(better, i + 1, ids)
+            top = np.where(better, near[:, 0], top)
+        branch, gap, value = env.branch_info(pts)
+        assert np.any(branch == 0) and (np.any(branch > 0) or np.any(gap == 0.0))
+        assert np.array_equal(branch, ids)
+        assert np.array_equal(gap, top - second)
+        assert np.array_equal(value, top)
+
+
 class TestOtherConfigurations:
     def test_ellipsoid_sandwich(self):
         ell = Domain.ellipsoid([1.0, 4.0])
@@ -203,7 +255,7 @@ class TestOtherConfigurations:
         assert np.max(env(grid) - exact) <= 1e-8
         assert np.max(exact - sup(grid)) <= 2e-8
         # power-of-two multiple of 1/A: A = 2.5 forces B = 1.6
-        assert env.barriers[0].params.B == pytest.approx(1.6)
+        assert env.barriers.B == pytest.approx(1.6)
         _, vx, px = env.boundary_values()
         assert np.max(np.abs(vx - px)) <= 1e-9
 

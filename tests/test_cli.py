@@ -50,6 +50,11 @@ class TestCone:
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["cone", "--lambda", "1,2", "--m", "1", "--bogus"]) == 2
 
+    def test_threads_flag_removed(self, capsys):
+        code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1"])
+        assert code == 0 and "threads" not in json_part(out)
+        assert cli.main(["cone", "--lambda", "1,2", "--m", "1", "--threads", "2"]) == 2
+
 
 class TestRadial:
     def test_const_paper_u0(self, capsys, tmp_path):
@@ -96,6 +101,13 @@ class TestModulusCommand:
         curve = ModulusCurve.from_csv((tmp_path / "modulus.csv").read_text())
         maj = ModulusCurve.from_csv((tmp_path / "modulus_majorant.csv").read_text())
         assert np.all(maj(curve.t) >= curve.w - 1e-12)
+
+    def test_nan_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x1,value\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
+        code, out = run_cli(capsys, ["modulus", "--input", str(path), "--bins", "4"])
+        assert code == 2
+        assert out == ""
 
 
 class TestBarrierCommand:

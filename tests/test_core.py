@@ -303,3 +303,10 @@ class TestSamplers:
         for a in core.sample_sigma_m(4, 3, 25, seed=13):
             assert core.sigma_tilde(a, 3) == pytest.approx(1.0, abs=1e-11)
             assert core.form_in_gamma_hat(a, 3).member
+
+    def test_order_out_of_range_rejected(self):
+        for n, m in ((2, 5), (3, 0)):
+            with pytest.raises(ArgumentError):
+                core.sample_gamma_hat(n, m, 1, seed=0)
+            with pytest.raises(ArgumentError):
+                core.sample_sigma_m(n, m, 1, seed=0)

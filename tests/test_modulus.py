@@ -52,6 +52,12 @@ class TestModulusCurve:
         with pytest.raises(ArgumentError):
             ModulusCurve([0.0, 1.0, 2.0], [0.0, 0.5, 0.2])  # decreasing
 
+    def test_non_finite_knots_rejected(self):
+        with pytest.raises(ArgumentError):
+            ModulusCurve([0.0, 1.0, 2.0], [0.0, np.nan, 1.0])
+        with pytest.raises(ArgumentError):
+            ModulusCurve([0.0, 1.0, np.inf], [0.0, 0.5, 1.0])
+
     def test_interpolation(self):
         c = ModulusCurve([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
         assert c(0.5) == 0.5
@@ -115,6 +121,16 @@ class TestEstimateModulus:
     def test_too_few_points(self):
         with pytest.raises(ArgumentError):
             modulus.estimate_modulus(np.array([[0.0]]), np.array([1.0]), bins=4)
+
+    def test_non_finite_input_rejected(self):
+        pts = np.linspace(0.0, 1.0, 10)
+        vals = pts.copy()
+        vals[3] = np.nan
+        with pytest.raises(ArgumentError):
+            modulus.estimate_modulus(pts, vals, bins=4, t_max=1.0)
+        pts[5] = np.inf
+        with pytest.raises(ArgumentError):
+            modulus.estimate_modulus(pts, np.zeros(10), bins=4, t_max=1.0)
 
     def test_geometric_edges(self):
         x = np.linspace(0.0, 1.0, 500)

@@ -16,17 +16,6 @@ from hessiankit.radial import (
 
 
 class TestConventions:
-    def test_calibration_reference_values(self):
-        assert radial.calibrate_convention(2, 1) == pytest.approx(8.0, abs=1e-12)
-        assert radial.calibrate_convention(3, 3) == pytest.approx(2.0 * 6.0 ** (1.0 / 3.0))
-
-    def test_calibration_matches_form_analytically(self):
-        for n in range(1, 7):
-            for m in range(1, n + 1):
-                assert radial.calibrate_convention(n, m) == pytest.approx(
-                    2.0 * (2.0 * n) ** (1.0 / m), rel=1e-12
-                )
-
     def test_convention_ratio(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
