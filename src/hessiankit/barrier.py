@@ -428,35 +428,48 @@ class NegatedEnvelope:
 
 def _envelope(
     xis, seeds, data: BoundaryData, domain: Domain, m: int, f_sup: float, seed,
-    b_coeff: float, omega_bar: ModulusCurve,
+    b_coeff: float | None = None, omega_bar: ModulusCurve | None = None,
+    params: BarrierParams | None = None,
 ) -> BarrierEnvelope:
-    """Derive the parameters of the barriers at the boundary points xis."""
+    """Envelope of the barriers at the boundary points xis.
+
+    Checks the density bound, computes ``b_coeff`` and ``omega_bar`` when
+    they are not given, and derives the barrier parameters unless
+    ``params`` is given.
+    """
+    if not (math.isfinite(f_sup) and f_sup >= 0):
+        raise ArgumentError(f"f_sup must be finite and >= 0, got {f_sup}")
     d = domain.diameter
     k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
-    r = _choose_radius(domain, xis, b_coeff, seeds)
-    r1 = 0.5 * r
+    if omega_bar is None:
+        omega_bar = shifted_modulus_majorant(data, k1, d)
+    if params is None:
+        if b_coeff is None:
+            b_coeff = cone_coefficient(domain, m)
+        r = _choose_radius(domain, xis, b_coeff, seeds)
+        r1 = 0.5 * r
 
-    k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
-    rmin, rmax = domain.boundary_radius_range()
-    gamma2 = data.inf_phi - k1 * rmax**2 + k2
-    sup_shifted = data.sup_phi - k1 * rmin**2 + k2
-    osc = np.maximum(sup_shifted - gamma2, 0.0)
-    bar_r1 = omega_bar(r1)
-    # the first branch must drop below gamma2 on the gluing sphere
-    lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
-    gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
+        k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
+        rmin, rmax = domain.boundary_radius_range()
+        gamma2 = data.inf_phi - k1 * rmax**2 + k2
+        sup_shifted = data.sup_phi - k1 * rmin**2 + k2
+        osc = np.maximum(sup_shifted - gamma2, 0.0)
+        bar_r1 = omega_bar(r1)
+        # the first branch must drop below gamma2 on the gluing sphere
+        lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
+        gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
 
-    params = BarrierParams(
-        B=b_coeff,
-        r=r,
-        r1=r1,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        K1=k1,
-        K2=k2,
-        xi=xis,
-        z0=domain.barycenter,
-    )
+        params = BarrierParams(
+            B=b_coeff,
+            r=r,
+            r1=r1,
+            gamma1=gamma1,
+            gamma2=gamma2,
+            K1=k1,
+            K2=k2,
+            xi=xis,
+            z0=domain.barycenter,
+        )
     phi_xi = np.asarray(data.phi(xis), dtype=float)
     return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
 
@@ -482,24 +495,15 @@ def build_point_barrier(
     xi = np.asarray(xi, dtype=complex)
     if abs(float(domain.rho(xi))) > 1e-10:
         raise ArgumentError("xi must lie on the boundary")
-    if f_sup < 0:
-        raise ArgumentError("f_sup must be >= 0")
-    d = domain.diameter
-    k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
-    if omega_bar is None:
-        omega_bar = shifted_modulus_majorant(data, k1, d)
-
-    if params is None:
-        if b_coeff is None:
-            b_coeff = cone_coefficient(domain, m)
-        return _envelope(xi[None, :], [seed], data, domain, m, f_sup, seed, b_coeff, omega_bar)
-
-    # the domain sits inside B(xi, diameter), so larger radii add nothing
-    z = xi + min(params.r.item(), d) * _unit_ball((seed, 7919), domain.n, 512)
-    if _max_abs_g(domain, xi, params.B, z) > d * d * (1 + 1e-9):
-        raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
-    phi_xi = np.asarray(data.phi(xi[None, :]), dtype=float)
-    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
+    if params is not None:
+        # the domain sits inside B(xi, diameter), so larger radii add nothing
+        d = domain.diameter
+        z = xi + min(params.r.item(), d) * _unit_ball((seed, 7919), domain.n, 512)
+        if _max_abs_g(domain, xi, params.B, z) > d * d * (1 + 1e-9):
+            raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
+    return _envelope(
+        xi[None, :], [seed], data, domain, m, f_sup, seed, b_coeff, omega_bar, params
+    )
 
 
 def build_subsolution(
@@ -528,12 +532,9 @@ def build_subsolution(
                 [sample_interior(domain, 512, seed + 3), sample_boundary(domain, 256, seed + 4)]
             )
             f_sup = float(np.max(np.asarray(f(probe), dtype=float)))
-    k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
-    b_coeff = cone_coefficient(domain, m)
-    omega_bar = shifted_modulus_majorant(data, k1, domain.diameter)
     xis = sample_boundary(domain, xi_count, seed)
     seeds = [(seed, i) for i in range(xi_count)]
-    return _envelope(xis, seeds, data, domain, m, f_sup, seed, b_coeff, omega_bar)
+    return _envelope(xis, seeds, data, domain, m, f_sup, seed)
 
 
 def build_supersolution(
@@ -708,18 +709,20 @@ def fd_stencil(z, h: float) -> np.ndarray:
 
 
 def _hessian_from_stencil(values: np.ndarray, dim: int, h: float) -> np.ndarray:
-    """Assemble the Hessian from function values in fd_stencil order."""
-    center = values[0]
-    plus = values[1 : 1 + dim]
-    minus = values[1 + dim : 1 + 2 * dim]
-    q = np.empty((dim, dim))
-    np.fill_diagonal(q, (plus - 2.0 * center + minus) / h**2)
+    """Assemble Hessians from function values in fd_stencil order along the
+    last axis; shape (..., dim, dim)."""
+    center = values[..., :1]
+    plus = values[..., 1 : 1 + dim]
+    minus = values[..., 1 + dim : 1 + 2 * dim]
+    q = np.empty(values.shape[:-1] + (dim, dim))
+    diag = np.arange(dim)
+    q[..., diag, diag] = (plus - 2.0 * center + minus) / h**2
     pos = 1 + 2 * dim
     for a in range(dim):
         for b in range(a + 1, dim):
-            pp, pm, mp, mm = values[pos : pos + 4]
+            pp, pm, mp, mm = np.moveaxis(values[..., pos : pos + 4], -1, 0)
             pos += 4
-            q[a, b] = q[b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
+            q[..., a, b] = q[..., b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
     return q
 
 
@@ -739,7 +742,7 @@ def fd_complex_hessian(func, z, h: float = 1e-4) -> np.ndarray:
 
 
 def _symmetrized(q):
-    return 0.5 * (q + q.T)
+    return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
 @dataclass
@@ -751,13 +754,13 @@ class ProbeSummary:
 
 
 def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float):
-    """Probe point count and (z, complex Hessian) at the smooth probe points.
+    """Probe point count, the smooth probe points and their complex Hessians.
 
     Probe points are interior samples deeper than the stencil.  A point is
     smooth when its whole stencil sits on one branch with a positive
     runner-up gap.  Kink points of the max-glue are skipped: the one-sided
     derivatives there only add positivity, which finite differences cannot
-    certify.
+    certify.  The Hessians come as one (points, n, n) stack.
     """
     domain = envelope.domain
     pts = sample_interior(domain, 4 * count, seed)
@@ -767,10 +770,8 @@ def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float)
     info = envelope.branch_info(nodes.reshape(-1, domain.n))
     branch, gap, values = (x.reshape(nodes.shape[:2]) for x in info)
     smooth = np.all(branch == branch[:, :1], axis=1) & (gap.min(axis=1) > 0.0)
-    return pts.shape[0], [
-        (z, core.complex_hessian_from_real(_symmetrized(_hessian_from_stencil(v, 2 * domain.n, h))))
-        for z, v in zip(pts[smooth], values[smooth])
-    ]
+    q = _symmetrized(_hessian_from_stencil(values[smooth], 2 * domain.n, h))
+    return pts.shape[0], pts[smooth], core.complex_hessian_from_real(q)
 
 
 def msh_probe(
@@ -781,19 +782,14 @@ def msh_probe(
 ) -> ProbeSummary:
     """Cone membership of the finite-difference Hessian at smooth points."""
     m = envelope.m
-    tested, smooth = _smooth_hessians(envelope, count, seed, h)
-    margins = []
-    scale = 1.0
-    for _, a in smooth:
-        eigs = np.linalg.eigvalsh(a)
-        rep = core.gamma_m_contains(eigs, m, tol=math.inf)
-        margins.append(rep.margin)
-        scale = max(scale, (1.0 + float(np.max(np.abs(eigs)))) ** m)
+    tested, _, hessians = _smooth_hessians(envelope, count, seed, h)
+    eigs = np.linalg.eigvalsh(hessians)
+    margins = core.elementary_symmetric_all(eigs, m)[:, 1:].min(axis=1)
     return ProbeSummary(
         points_tested=tested,
-        points_smooth=len(smooth),
-        min_margin=float(min(margins)) if margins else 0.0,
-        scale=scale,
+        points_smooth=len(hessians),
+        min_margin=float(margins.min()) if margins.size else 0.0,
+        scale=(1.0 + float(np.abs(eigs).max(initial=0.0))) ** m,
     )
 
 
@@ -806,26 +802,23 @@ def lalpha_probe(
     h: float = 1e-5,
 ) -> ProbeSummary:
     """Sampled subsolution test: l_alpha(v) >= f^(1/m) at smooth points."""
-    domain = envelope.domain
+    n = envelope.domain.n
     m = envelope.m
-    tested, smooth = _smooth_hessians(envelope, count, seed, h)
-    tuples = []
+    tested, zs, hessians = _smooth_hessians(envelope, count, seed, h)
+    # one (point, alpha tuple) stack of m-tuples (hessian, a_1, ..., a_{m-1})
+    tuples = np.empty((len(zs), alpha_samples if m >= 2 else 1, m, n, n), dtype=complex)
+    tuples[:, :, 0] = hessians[:, None]
     if m >= 2:
-        forms = core.sample_sigma_m(domain.n, m, alpha_samples * (m - 1), seed + 1)
-        tuples = [forms[i * (m - 1) : (i + 1) * (m - 1)] for i in range(alpha_samples)]
-    margins = []
-    for z, a in smooth:
-        target = 0.0
-        if f is not None:
-            target = float(np.asarray(f(z[None, :]))[0]) ** (1.0 / m)
-        if m == 1:
-            margins.append(core.sigma_tilde(a, 1) - target)
-        else:
-            for tup in tuples:
-                margins.append(core.polarized_form([a, *tup]) - target)
+        alphas = core.sample_sigma_m(n, m, alpha_samples * (m - 1), seed + 1)
+        tuples[:, :, 1:] = alphas.reshape(alpha_samples, m - 1, n, n)
+    target = np.zeros(len(zs))
+    if f is not None and len(zs):
+        # Python float roots, as rounded when each point was taken alone
+        target = np.array([v ** (1.0 / m) for v in np.asarray(f(zs), dtype=float).tolist()])
+    margins = core.polarized_form(tuples) - target[:, None]
     return ProbeSummary(
         points_tested=tested,
-        points_smooth=len(smooth),
-        min_margin=float(min(margins)) if margins else 0.0,
+        points_smooth=len(hessians),
+        min_margin=float(margins.min()) if margins.size else 0.0,
         scale=1.0,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,10 @@ def _report(args, result: dict, name: str, extra_files: dict | None = None) -> s
         "tol": getattr(args, "tol", None),
         "result": result,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise DomainError("the result is not finite; no report is written") from None
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         with open(os.path.join(args.output_dir, f"{name}.json"), "w") as fh:
@@ -37,6 +41,14 @@ def _report(args, result: dict, name: str, extra_files: dict | None = None) -> s
             with open(os.path.join(args.output_dir, fname), "w") as fh:
                 fh.write(content)
     return text
+
+
+def finite_float(text: str) -> float:
+    """argparse type for float flags: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_lambda(text: str) -> np.ndarray:
@@ -61,10 +73,7 @@ def cmd_cone(args) -> int:
 
 def cmd_garding(args) -> int:
     forms = core.sample_gamma_hat(args.n, args.m, args.samples * args.m, args.seed)
-    margins = np.empty(args.samples)
-    for i in range(args.samples):
-        rep = core.garding_check(forms[i * args.m : (i + 1) * args.m])
-        margins[i] = rep.margin
+    margins = core.garding_check(forms.reshape(args.samples, args.m, args.n, args.n)).margin
     effective = args.tol if args.tol is not None else 1e-10
     result = {
         "n": args.n,
@@ -199,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--tol", type=finite_float, default=None)
     common.add_argument("--output-dir", default=None)
     common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--config", default=None,
@@ -221,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modulus", parents=[common])
     p.add_argument("--input", required=True, help="CSV: coordinates..., value")
     p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--t-max", type=finite_float, default=None)
     p.set_defaults(func=cmd_modulus)
 
     p = sub.add_parser("barrier", parents=[common])
@@ -233,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-samples", type=int, default=500)
     p.add_argument("--grid", type=int, default=20000)
     p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--ceiling", type=float, default=None)
+    p.add_argument("--ceiling", type=finite_float, default=None)
     p.set_defaults(func=cmd_barrier)
 
     p = sub.add_parser("radial", parents=[common])
@@ -247,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gamma", parents=[common])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--p", type=finite_float, required=True)
+    p.add_argument("--r", type=finite_float, default=1.0)
     p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("verify", parents=[common])

@@ -411,14 +411,10 @@ def radial_hessian_residual(
     if not np.any(mask):
         raise ArgumentError("no interior grid points inside [r_min, r_max]")
     fvals = problem.density(rc[mask])
-    worst = 0.0
-    comb = math.comb(n, m)
-    for dui, d2ui, si, fi in zip(du[mask], d2u[mask], sc[mask], fvals):
-        lam = np.full(n, dui)
-        lam[-1] = dui + si * d2ui
-        sig = elementary_symmetric_all(lam, m)[m] / comb
-        worst = max(worst, abs(sig - fi) / (1.0 + fi))
-    return float(worst)
+    lam = np.repeat(du[mask, None], n, axis=1)
+    lam[:, -1] += sc[mask] * d2u[mask]
+    sig = elementary_symmetric_all(lam, m)[:, m] / math.comb(n, m)
+    return float(np.max(np.abs(sig - fvals) / (1.0 + fvals)))
 
 
 @dataclass

@@ -91,6 +91,15 @@ class TestPointBarrier:
         with pytest.raises(ArgumentError):
             barrier.build_point_barrier(np.zeros(2, dtype=complex), data, BALL, m=2)
 
+    @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
+    def test_invalid_density_bound_rejected(self, f_sup):
+        data = barrier.boundary_re_z1(BALL)
+        with pytest.raises(ArgumentError):
+            barrier.build_subsolution(data, None, BALL, m=2, xi_count=10, seed=1, f_sup=f_sup)
+        xi = geometry.sample_boundary(BALL, 1, seed=12)[0]
+        with pytest.raises(ArgumentError):
+            barrier.build_point_barrier(xi, data, BALL, m=2, f_sup=f_sup)
+
     def test_oversized_g_rejected(self):
         # on the unit ball g = 2 Re<z, xi> - 2 stays within d^2 for B = 1,
         # but an inflated cone coefficient pushes |g| past it

@@ -38,6 +38,18 @@ class TestGamma:
         code, _ = run_cli(capsys, ["gamma", "--n", "2", "--m", "1", "--p", "1.2"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--p", "inf"), ("--p", "nan"), ("--r", "inf")])
+    def test_non_finite_float_exits_2(self, capsys, flag, value):
+        argv = ["gamma", "--n", "2", "--m", "1", "--p", "3", flag, value]
+        code, out = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+
+    def test_non_finite_float_from_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = inf\n")
+        code, out = run_cli(capsys, ["gamma", "--n", "2", "--m", "1", "--config", str(cfg)])
+        assert code == 2 and out == ""
+
 
 class TestCone:
     def test_membership_report(self, capsys):
@@ -49,6 +61,16 @@ class TestCone:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert cli.main(["cone", "--lambda", "1,2", "--m", "1", "--bogus"]) == 2
+
+    def test_nan_tol_exits_2(self, capsys):
+        code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1", "--tol", "nan"])
+        assert code == 2 and out == ""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_result_exits_2(self, capsys):
+        # H_2 of (1e308, 1e308) overflows; the report would not be valid JSON
+        code, out = run_cli(capsys, ["cone", "--lambda", "1e308,1e308", "--m", "2"])
+        assert code == 2 and out == ""
 
     def test_threads_flag_removed(self, capsys):
         code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1"])
@@ -123,6 +145,15 @@ class TestBarrierCommand:
         assert result["boundary_gap"] <= 1e-9
         assert result["eta_fitted"] > 0
         assert "params_first" in result
+
+
+    @pytest.mark.parametrize("density", ["const:-1", "const:nan", "const:inf"])
+    def test_invalid_density_bound_exits_2(self, capsys, density):
+        code, out = run_cli(capsys, [
+            "barrier", "--n", "2", "--m", "2", "--f", density,
+            "--xi-samples", "10", "--grid", "300", "--bins", "20",
+        ])
+        assert code == 2 and out == ""
 
 
 class TestConfigFile:

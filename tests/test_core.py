@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from hessiankit import core
+from hessiankit import core, radial
 from hessiankit.errors import ArgumentError, DomainError
 
 
@@ -310,3 +311,176 @@ class TestSamplers:
                 core.sample_gamma_hat(n, m, 1, seed=0)
             with pytest.raises(ArgumentError):
                 core.sample_sigma_m(n, m, 1, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel against the per-subset, per-tuple loops it replaced
+
+
+def reference_polarized_form(forms):
+    """One sigma_tilde call per subset, each sum built left to right."""
+    mats = [np.asarray(f, dtype=complex) for f in forms]
+    m, n = len(mats), mats[0].shape[0]
+    total = 0.0
+    for size in range(1, m + 1):
+        for subset in itertools.combinations(range(m), size):
+            s = np.zeros((n, n), dtype=complex)
+            for i in subset:
+                s = s + mats[i]
+            total += (-1) ** (m - size) * core.sigma_tilde(s, m)
+    return total / math.factorial(m)
+
+
+def reference_garding_margin(forms):
+    m = len(forms)
+    sig = np.array([max(core.sigma_tilde(f, m), 0.0) for f in forms])
+    return reference_polarized_form(forms) - float(np.prod(sig ** (1.0 / m)))
+
+
+def reference_gamma_hat(n, count, seed, eps=0.01):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out.append(g @ g.conj().T / n + eps * np.eye(n))
+    return out
+
+
+def reference_sigma_m(n, m, count, seed):
+    return [a / core.sigma_tilde(a, m) ** (1.0 / m) for a in reference_gamma_hat(n, count, seed)]
+
+
+def reference_inf_characterization(a, m, samples, seed):
+    n = a.shape[0]
+    sig = max(core.sigma_tilde(a, m), 0.0)
+    exact = sig ** (1.0 / m)
+    forms = reference_sigma_m(n, m, samples * (m - 1), seed)
+    best = math.inf
+    for i in range(samples):
+        best = min(best, reference_polarized_form([a, *forms[i * (m - 1) : (i + 1) * (m - 1)]]))
+    minimizer_value = None
+    if sig > 0.0:
+        minimizer_value = reference_polarized_form([a] + [a / exact] * (m - 1))
+        best = min(best, minimizer_value)
+    return best, exact, minimizer_value
+
+
+def reference_hessian_residual(solution, problem, r_min, r_max):
+    r, u = solution.r, solution.u
+    if r[0] == 0.0:
+        r, u = r[1:], u[1:]
+    s = r**2
+    n, m = problem.n, problem.m
+    h1 = s[1:-1] - s[:-2]
+    h2 = s[2:] - s[1:-1]
+    um, u0, up = u[:-2], u[1:-1], u[2:]
+    du = (-h2 / (h1 * (h1 + h2))) * um + ((h2 - h1) / (h1 * h2)) * u0 + (
+        h1 / (h2 * (h1 + h2))
+    ) * up
+    d2u = 2.0 * (um / (h1 * (h1 + h2)) - u0 / (h1 * h2) + up / (h2 * (h1 + h2)))
+    rc, sc = r[1:-1], s[1:-1]
+    mask = (rc >= r_min) & (rc <= r_max)
+    worst = 0.0
+    for dui, d2ui, si, fi in zip(du[mask], d2u[mask], sc[mask], problem.density(rc[mask])):
+        lam = np.full(n, dui)
+        lam[-1] = dui + si * d2ui
+        sig = core.elementary_symmetric_all(lam, m)[m] / math.comb(n, m)
+        worst = max(worst, abs(sig - fi) / (1.0 + fi))
+    return float(worst)
+
+
+ORDERS = [(n, m) for n in range(1, 7) for m in range(1, n + 1)]
+
+
+def tuple_stack(n, m, count, seed):
+    """count m-tuples: positive definite forms and indefinite Hermitian ones."""
+    pd = core.sample_gamma_hat(n, m, count * m, seed).reshape(count, m, n, n)
+    rng = np.random.default_rng(seed + 1)
+    g = rng.standard_normal((count, m, n, n)) + 1j * rng.standard_normal((count, m, n, n))
+    return pd, (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n, m", ORDERS)
+    def test_polarized_form_matches_subset_loop(self, n, m):
+        for stack in tuple_stack(n, m, 5, 10 * n + m):
+            expected = np.array([reference_polarized_form(list(t)) for t in stack])
+            assert np.array_equal(core.polarized_form(stack), expected)
+            assert np.array_equal(core.polarized_form(stack.reshape(5, 1, m, n, n))[:, 0], expected)
+            single = core.polarized_form(list(stack[0]))
+            assert type(single) is float and single == expected[0]
+
+    @pytest.mark.parametrize("n, m", ORDERS)
+    def test_garding_margins_match_loop(self, n, m):
+        forms, _ = tuple_stack(n, m, 5, 100 + 10 * n + m)
+        rep = core.garding_check(forms)
+        expected = np.array([reference_garding_margin(list(t)) for t in forms])
+        assert np.array_equal(rep.margin, expected) and rep.passed.all()
+        single = core.garding_check(list(forms[0]))
+        assert type(single.margin) is float and single.margin == expected[0]
+        assert single.passed is True
+
+    @pytest.mark.parametrize("n, m", [o for o in ORDERS if o[0] <= 4 and o[1] >= 2])
+    def test_inf_characterization_matches_loop(self, n, m):
+        for i, a in enumerate(core.sample_gamma_hat(n, m, 2, seed=200 + n)):
+            rep = core.inf_characterization(a, m, samples=8, seed=i)
+            expected = reference_inf_characterization(a, m, 8, i)
+            assert (rep.inf_estimate, rep.exact_value, rep.minimizer_value) == expected
+        degenerate = np.diag([1.0] + [0.0] * (n - 1))
+        rep = core.inf_characterization(degenerate, m, samples=8, seed=3)
+        expected = reference_inf_characterization(degenerate, m, 8, 3)
+        assert (rep.inf_estimate, rep.exact_value, rep.minimizer_value) == expected
+
+    @pytest.mark.parametrize("n, m", ORDERS)
+    def test_samplers_match_loop(self, n, m):
+        assert np.array_equal(core.sample_gamma_hat(n, m, 7, seed=n + m), reference_gamma_hat(n, 7, n + m))
+        assert np.array_equal(core.sample_sigma_m(n, m, 7, seed=m), reference_sigma_m(n, m, 7, m))
+
+    @pytest.mark.parametrize("n, m, density", [
+        (2, 2, radial.ConstDensity(1.0)), (3, 2, radial.PowerDensity(1.5)),
+        (4, 3, radial.ConstDensity(2.0)), (3, 1, radial.PowerDensity(0.5)),
+    ])
+    def test_radial_hessian_residual_matches_loop(self, n, m, density):
+        problem = radial.RadialProblem(n, m, density, convention="form")
+        sol = radial.radial_solve(problem, grid=np.linspace(0.0, 1.0, 401), tol=1e-10)
+        for window in ((0.0, 1.0), (0.1, 0.9)):
+            got = radial.radial_hessian_residual(sol, problem, *window)
+            assert got == reference_hessian_residual(sol, problem, *window)
+
+    def test_elementary_symmetric_all_on_stacks(self):
+        lam = np.random.default_rng(7).standard_normal((3, 4, 6))
+        stacked = core.elementary_symmetric_all(lam, 4)
+        assert stacked.shape == (3, 4, 5)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(stacked[idx], core.elementary_symmetric_all(lam[idx], 4))
+
+    def test_ragged_stack_rejected(self):
+        with pytest.raises(ArgumentError):
+            core.polarized_form([np.eye(2), np.eye(3)])
+        with pytest.raises(ArgumentError):
+            core.garding_check([np.eye(2), np.eye(3)])
+        with pytest.raises(ArgumentError):
+            core.l_alpha(np.eye(2), [np.eye(3)])
+
+    def test_too_many_arguments_rejected(self):
+        stack = np.broadcast_to(np.eye(2), (4, 3, 2, 2))
+        with pytest.raises(ArgumentError):
+            core.polarized_form(stack)
+        with pytest.raises(ArgumentError):
+            core.garding_check(stack)
+
+    def test_one_non_hermitian_member_rejected(self):
+        stack = np.array(np.broadcast_to(np.eye(3), (4, 2, 3, 3)), dtype=complex)
+        stack[2, 1, 0, 1] = 1.0
+        with pytest.raises(ArgumentError):
+            core.polarized_form(stack)
+        with pytest.raises(ArgumentError):
+            core.garding_check(stack)
+        with pytest.raises(ArgumentError):
+            core.sigma_tilde(stack[2], 2)
+
+    def test_one_form_outside_cone_rejected(self):
+        stack = np.array(np.broadcast_to(np.eye(2), (4, 2, 2, 2)))
+        stack[3, 1] = np.diag([5.0, -1.0])
+        with pytest.raises(DomainError, match="argument 1"):
+            core.garding_check(stack)
