@@ -133,13 +133,8 @@ def boundary_psi_sqrt(domain: Domain) -> BoundaryData:
     """
     if domain.kind != "ball" or abs(domain.radius - 1.0) > 1e-15:
         raise ArgumentError("psi_sqrt data is defined on the unit ball")
-
-    def phi(z):
-        x = np.asarray(z, dtype=complex)[..., 0].real
-        return -np.sqrt(np.maximum(1.0 + x, 0.0) / 2.0)
-
     return BoundaryData(
-        phi=phi,
+        phi=psi_example_solution,
         omega_phi=linear_curve(0.5, domain.diameter),
         sup_norm=1.0,
         inf_phi=-1.0,
@@ -459,17 +454,8 @@ def _envelope(
         lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
         gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
 
-        params = BarrierParams(
-            B=b_coeff,
-            r=r,
-            r1=r1,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            K1=k1,
-            K2=k2,
-            xi=xis,
-            z0=domain.barycenter,
-        )
+        params = BarrierParams(B=b_coeff, r=r, r1=r1, gamma1=gamma1, gamma2=gamma2,
+                               K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
     phi_xi = np.asarray(data.phi(xis), dtype=float)
     return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
 
@@ -649,7 +635,6 @@ def verify_modulus_bound(
         violations = [float(x) for x in t[mask]]
         passed = not bool(mask.any())
 
-    fit = None
     if window is None:
         window = (5e-4 * d, 5e-2 * d)
     try:

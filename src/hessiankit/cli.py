@@ -131,12 +131,9 @@ def cmd_barrier(args) -> int:
     )
     _, vx, px = env.boundary_values()
     result = rep.to_json_dict()
-    result["boundary_gap"] = float(np.max(np.abs(vx - px)))
-    result["xi_samples"] = args.xi_samples
-    result["domain"] = args.domain
-    result["phi"] = args.phi
-    result["f"] = args.f
-    result["params_first"] = env.barriers[0].describe()
+    result.update(boundary_gap=float(np.max(np.abs(vx - px))), xi_samples=args.xi_samples,
+                  domain=args.domain, phi=args.phi, f=args.f,
+                  params_first=env.barriers[0].describe())
     sys.stdout.write(_report(args, result, "barrier"))
     return 0
 

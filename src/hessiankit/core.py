@@ -59,10 +59,13 @@ def elementary_symmetric_all(values, m: int) -> np.ndarray:
     eigenvalue x maps c_k -> c_k + x * c_{k-1}.  Stable for n up to at least
     64; never enumerates subsets.
     """
-    lam = _as_vector(values, stack=True)
-    n = lam.shape[-1]
-    if not 0 <= m <= n:
-        raise ArgumentError(f"order m={m} out of range for n={n}")
+    return _symmetric_all(_as_vector(values, stack=True), m)
+
+
+def _symmetric_all(lam: np.ndarray, m: int) -> np.ndarray:
+    """elementary_symmetric_all on checked eigenvalues."""
+    if not 0 <= m <= lam.shape[-1]:
+        raise ArgumentError(f"order m={m} out of range for n={lam.shape[-1]}")
     # the order axis leads, so each step is the 1-d update over the stack
     coeffs = np.zeros((m + 1,) + lam.T.shape[1:])
     coeffs[0] = 1.0
@@ -75,7 +78,7 @@ def elementary_symmetric_all(values, m: int) -> np.ndarray:
 
 def elementary_symmetric(values, k: int) -> float:
     """H_k(lambda) via the product recurrence."""
-    return float(elementary_symmetric_all(_as_vector(values), k)[k])
+    return float(_symmetric_all(_as_vector(values), k)[k])
 
 
 def elementary_symmetric_enumerate(values, k: int) -> float:
@@ -95,8 +98,12 @@ def elementary_symmetric_enumerate(values, k: int) -> float:
 def cone_tolerance(values, m: int):
     """Scale-aware slack for cone membership: 1e-10 * (1 + max|lambda|^m)."""
     lam = _as_vector(values, stack=True)
-    slack = 1e-10 * (1.0 + np.abs(lam).max(axis=-1) ** m)
+    slack = _cone_slack(lam, m)
     return float(slack) if lam.ndim == 1 else slack
+
+
+def _cone_slack(lam: np.ndarray, m: int):
+    return 1e-10 * (1.0 + np.abs(lam).max(axis=-1) ** m)
 
 
 @dataclass
@@ -117,13 +124,17 @@ def gamma_m_contains(values, m: int, tol: float | None = None) -> ConeReport:
     ``tol`` defaults to the scale-aware :func:`cone_tolerance`.  Membership
     is margin >= -tol where margin = min_j H_j.
     """
-    lam = _as_vector(values)
+    return _cone_report(_as_vector(values), m, tol)
+
+
+def _cone_report(lam: np.ndarray, m: int, tol: float | None = None) -> ConeReport:
+    """gamma_m_contains on one checked eigenvalue vector."""
     if not 1 <= m <= lam.size:
         raise ArgumentError(f"cone order m={m} out of range for n={lam.size}")
-    if tol is None:
-        tol = cone_tolerance(lam, m)
-    h = elementary_symmetric_all(lam, m)[1:]
+    h = _symmetric_all(lam, m)[1:]
     margin = float(np.min(h))
+    if tol is None:
+        tol = _cone_slack(lam, m)
     return ConeReport(h_values=h, member=bool(margin >= -tol), margin=margin)
 
 
@@ -135,7 +146,7 @@ def maclaurin_check(values, m: int) -> np.ndarray:
     """
     lam = _as_vector(values)
     n = lam.size
-    report = gamma_m_contains(lam, m)
+    report = _cone_report(lam, m)
     if not report.member:
         raise DomainError(
             f"Maclaurin chain is only asserted on the cone; margin={report.margin}"
@@ -159,10 +170,12 @@ def _is_hermitian(a: np.ndarray, tol: float) -> bool:
 
 
 def _as_hermitian(entries) -> np.ndarray:
-    """(..., n, n) Hermitian forms."""
+    """(..., n, n) finite Hermitian forms: the one check on a caller's forms."""
     a = np.asarray(entries, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ArgumentError("form coefficients must be a square matrix")
+    if not np.isfinite(a).all():
+        raise ArgumentError("form coefficients contain non-finite entries")
     if not _is_hermitian(a, HERMITIAN_TOL):
         raise ArgumentError("matrix is not Hermitian within tolerance")
     return a
@@ -174,7 +187,7 @@ def sigma_tilde(entries, m: int):
     n = a.shape[-1]
     if not 1 <= m <= n:
         raise ArgumentError(f"order m={m} out of range for n={n}")
-    h = elementary_symmetric_all(np.linalg.eigvalsh(a), m)[..., m] / math.comb(n, m)
+    h = _symmetric_all(np.linalg.eigvalsh(a), m)[..., m] / math.comb(n, m)
     return float(h) if a.ndim == 2 else h
 
 
@@ -184,14 +197,18 @@ def form_in_gamma_hat(entries, m: int, tol: float | None = None) -> ConeReport:
 
 
 def _as_tuples(forms) -> np.ndarray:
-    """(..., m, n, n) Hermitian m-tuples, m >= 1."""
+    """(..., m, n, n) Hermitian m-tuples, 1 <= m <= n."""
     try:
         tuples = np.asarray(forms, dtype=complex)
     except ValueError:
         raise ArgumentError("all forms must share the same dimension") from None
     if tuples.ndim < 3 or tuples.shape[-3] == 0:
         raise ArgumentError("polarization needs m >= 1 forms of one shape (n, n)")
-    return _as_hermitian(tuples)
+    tuples = _as_hermitian(tuples)
+    m, n = tuples.shape[-3], tuples.shape[-1]
+    if m > n:
+        raise ArgumentError(f"number of arguments m={m} exceeds dimension n={n}")
+    return tuples
 
 
 @lru_cache(maxsize=None)
@@ -203,6 +220,26 @@ def _subsets(m: int):
     return rows.astype(bool), np.where((m - rows.sum(axis=1)) % 2, -1.0, 1.0)
 
 
+def _subset_spectra(tuples: np.ndarray):
+    """Eigenvalues and H_0..H_m of every subset sum of checked m-tuples, in
+    ``_subsets`` order (the first m rows are the single forms), and their
+    polarized values: one ``eigvalsh`` call for the whole stack."""
+    m, n = tuples.shape[-3], tuples.shape[-1]
+    incidence, signs = _subsets(m)
+    sums = np.zeros(tuples.shape[:-3] + (signs.size, n, n), dtype=complex)
+    for i in range(m):
+        sums[..., incidence[:, i], :, :] += tuples[..., i : i + 1, :, :]
+    lam = np.linalg.eigvalsh(sums)
+    if not np.isfinite(lam).all():
+        raise ArgumentError("a subset sum overflows: its eigenvalues are not finite")
+    h = _symmetric_all(lam, m)
+    terms = signs * (h[..., m] / math.comb(n, m))
+    total = 0.0
+    for j in range(signs.size):
+        total = total + terms[..., j]
+    return lam, h, total / math.factorial(m)
+
+
 def polarized_form(forms):
     """Full polarization M(a_1, ..., a_m) of sigma_tilde.
 
@@ -212,20 +249,10 @@ def polarized_form(forms):
 
     which is symmetric in its arguments, multilinear, and restricts to
     sigma_tilde on the diagonal.  All subset sums (each adding its forms in
-    index order) take one ``sigma_tilde`` call; the terms add in subset order.
+    index order) take one ``eigvalsh`` call; the terms add in subset order.
     """
     tuples = _as_tuples(forms)
-    m, n = tuples.shape[-3], tuples.shape[-1]
-    if m > n:
-        raise ArgumentError(f"number of arguments m={m} exceeds dimension n={n}")
-    incidence, signs = _subsets(m)
-    sums = np.zeros(tuples.shape[:-3] + (signs.size, n, n), dtype=complex)
-    for i in range(m):
-        sums[..., incidence[:, i], :, :] += tuples[..., i : i + 1, :, :]
-    total = 0.0
-    for term in np.moveaxis(signs * sigma_tilde(sums, m), -1, 0):
-        total = total + term
-    total = total / math.factorial(m)
+    total = _subset_spectra(tuples)[2]
     return float(total) if tuples.ndim == 3 else total
 
 
@@ -244,19 +271,18 @@ def garding_check(forms, tol: float = 1e-10) -> GardingReport:
     """
     tuples = _as_tuples(forms)
     m = tuples.shape[-3]
-    lam = np.linalg.eigvalsh(tuples)
-    h = elementary_symmetric_all(lam, m)
+    lam, h, value = _subset_spectra(tuples)
+    lam, h = lam[..., :m, :], h[..., :m, :]  # the single forms
     cone_margin = h[..., 1:].min(axis=-1)
-    outside = np.flatnonzero(cone_margin < -cone_tolerance(lam, m))
+    outside = np.flatnonzero(cone_margin < -_cone_slack(lam, m))
     if outside.size:
         i = outside[0]
         raise DomainError(f"argument {i % m} outside the cone (margin {cone_margin.flat[i]})")
     sig = np.maximum(h[..., m] / math.comb(lam.shape[-1], m), 0.0)
-    value = polarized_form(tuples)
     bound = np.prod(sig ** (1.0 / m), axis=-1)
     margin = value - bound
     if tuples.ndim == 3:
-        bound, margin = float(bound), float(margin)
+        value, bound, margin = float(value), float(bound), float(margin)
     return GardingReport(value, bound, margin, margin >= -tol)
 
 
@@ -288,7 +314,8 @@ def sample_sigma_m(n: int, m: int, count: int, seed: int, eps: float = 0.01) -> 
     Python float powers (numpy's array power rounds some differently).
     """
     forms = sample_gamma_hat(n, m, count, seed, eps)
-    roots = [s ** (1.0 / m) for s in sigma_tilde(forms, m).tolist()]
+    sig = _symmetric_all(np.linalg.eigvalsh(forms), m)[:, m] / math.comb(n, m)
+    roots = [s ** (1.0 / m) for s in sig.tolist()]
     return forms / np.array(roots)[:, None, None]
 
 
@@ -314,24 +341,25 @@ def inf_characterization(
     """
     a = _as_hermitian(entries)
     n = a.shape[0]
-    report = form_in_gamma_hat(a, m)
+    if a.ndim != 2:
+        raise ArgumentError("inf_characterization takes one form")
+    report = _cone_report(np.linalg.eigvalsh(a), m)
     if not report.member:
         raise DomainError(f"form outside the cone (margin {report.margin})")
-    sig = max(sigma_tilde(a, m), 0.0)
-    exact = sig ** (1.0 / m)
+    value = float(report.h_values[m - 1] / math.comb(n, m))  # sigma_tilde(a, m)
+    exact = max(value, 0.0) ** (1.0 / m)
 
     if m == 1:
-        value = sigma_tilde(a, 1)
         return InfCharacterization(value, exact, value)
 
-    tuples = np.empty((samples + (sig > 0.0), m, n, n), dtype=complex)
+    tuples = np.empty((samples + (value > 0.0), m, n, n), dtype=complex)
     tuples[:, 0] = a
     forms = sample_sigma_m(n, m, samples * (m - 1), seed)
     tuples[:samples, 1:] = forms.reshape(samples, m - 1, n, n)
-    if sig > 0.0:
+    if value > 0.0:
         tuples[samples, 1:] = a / exact
-    values = polarized_form(tuples)
-    minimizer_value = float(values[samples]) if sig > 0.0 else None
+    values = _subset_spectra(tuples)[2]
+    minimizer_value = float(values[samples]) if value > 0.0 else None
     return InfCharacterization(float(values.min()), exact, minimizer_value)
 
 
@@ -344,11 +372,12 @@ def l_alpha(hessian, alphas, tol: float = SIGMA_NORMALIZATION_TOL) -> float:
     """
     tuples = _as_tuples([hessian, *alphas])
     m = tuples.shape[-3]
-    sig = sigma_tilde(tuples[1:], m)
+    _, h, value = _subset_spectra(tuples)
+    sig = h[1:m, m] / math.comb(tuples.shape[-1], m)  # the alphas' sigma_tilde
     off = np.flatnonzero(np.abs(sig - 1.0) > tol)
     if off.size:
         raise DomainError(f"alpha {off[0]} not normalized: sigma_tilde={float(sig[off[0]])!r}")
-    return polarized_form(tuples)
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

@@ -155,15 +155,12 @@ def estimate_modulus(
         block = max(1, int(2e6 // max(n, 1)))
         for a in range(0, n - 1, block):
             b = min(a + block, n - 1)
-            # row block against the tail; keeps memory at O(block * n * d)
-            d2 = ((pts[a:b, None, :] - pts[None, a + 1 :, :]) ** 2).sum(-1)
-            dv = np.abs(vals[a:b, None] - vals[None, a + 1 :])
-            # mask out the lower triangle duplicated inside the block
-            cols = np.arange(a + 1, n)
-            mask = cols[None, :] > np.arange(a, b)[:, None]
-            dist = np.sqrt(d2[mask])
-            gaps = dv[mask]
-            _accumulate(sup, edges, dist, gaps)
+            # row block against columns a onward; keeps memory at O(block * n * d).
+            # Pairs inside the block come twice with the same bits, and the
+            # zero diagonal adds gap 0 to the first bin, so neither raises sup.
+            d2 = ((pts[a:b, None, :] - pts[None, a:, :]) ** 2).sum(-1)
+            dv = np.abs(vals[a:b, None] - vals[None, a:])
+            _accumulate(sup, edges, np.sqrt(d2), dv)
     else:
         rng = np.random.default_rng(seed)
         remaining = int(pair_budget)
@@ -189,12 +186,8 @@ def _accumulate(sup, edges, dist, gaps):
 
 
 def _diameter_estimate(pts) -> float:
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    d = float(np.sqrt(((hi - lo) ** 2).sum()))
-    if d <= 0:
-        d = 1.0
-    return d
+    d = float(np.sqrt(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum()))
+    return d if d > 0 else 1.0
 
 
 def concave_majorant(curve: ModulusCurve) -> ModulusCurve:

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .core import elementary_symmetric_all
 from .errors import ArgumentError, DomainError, QuadratureError
@@ -108,15 +107,12 @@ class LogDensity:
                     "inner integral diverges: with n == m it needs gamma > 1"
                 )
             return x ** (1.0 - self.gamma) / (self.gamma - 1.0)
-        val, err = integrate.quad(
+        from scipy import integrate  # imported on first use: it dominates import time
+
+        return integrate.quad(
             lambda s: math.exp(2 * k * (1.0 - s)) * s ** (-self.gamma),
-            x,
-            np.inf,
-            epsabs=1e-14,
-            epsrel=1e-12,
-            limit=200,
-        )
-        return val
+            x, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200,
+        )[0]
 
     def describe(self) -> str:
         return f"log:{self.gamma!r}"
@@ -145,6 +141,7 @@ class TableDensity:
         self.rho = r
         self.values = f
         self.exponents = np.diff(np.log(f)) / np.diff(np.log(r))
+        self._knot_integrals = {}  # n -> integral from 0 to each knot
 
     def __call__(self, rho):
         r = np.asarray(rho, dtype=float)
@@ -162,26 +159,25 @@ class TableDensity:
         p0 = self._segment_exponent(0)
         if power + p0 <= -1:
             raise DomainError("table density is not integrable against rho^(2n-1) at 0")
-        total = 0.0
-        # piece below the first knot, extended power law
-        lo = min(t, self.rho[0])
-        total += _power_primitive(self.values[0], self.rho[0], p0, 0.0, lo, power)
         if t <= self.rho[0]:
-            return total
-        for i in range(self.rho.size - 1):
-            a = self.rho[i]
-            b = min(t, self.rho[i + 1])
-            if b <= a:
-                break
-            total += _power_primitive(self.values[i], a, self.exponents[i], a, b, power)
-            if t <= self.rho[i + 1]:
-                return total
-        # beyond the table
-        pl = self._segment_exponent(self.rho.size - 2)
-        total += _power_primitive(
-            self.values[-1], self.rho[-1], pl, self.rho[-1], t, power
-        )
-        return total
+            # piece below the first knot, extended power law
+            return _power_primitive(self.values[0], self.rho[0], p0, 0.0, t, power)
+        knots = self._knot_integrals.get(n)
+        if knots is None:
+            # running sum over the segments, in knot order
+            total = _power_primitive(self.values[0], self.rho[0], p0, 0.0, self.rho[0], power)
+            knots = [total]
+            for i in range(self.exponents.size):
+                a, b = self.rho[i], self.rho[i + 1]
+                total += _power_primitive(self.values[i], a, self.exponents[i], a, b, power)
+                knots.append(total)
+            self._knot_integrals[n] = knots
+        i = int(np.searchsorted(self.rho, t)) - 1  # rho[i] < t <= rho[i + 1]
+        if i < self.exponents.size:
+            p = self.exponents[i]
+        else:  # beyond the table
+            p = self._segment_exponent(i - 1)
+        return knots[i] + _power_primitive(self.values[i], self.rho[i], p, self.rho[i], t, power)
 
     def describe(self) -> str:
         return f"table:{self.rho.size}"
@@ -320,6 +316,8 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
         if r[-1] < 1.0:
             r = np.append(r, 1.0)
 
+    from scipy import integrate  # imported on first use: it dominates import time
+
     density = problem.density
     outer_exp = 1.0 - 2.0 * n / m
 
@@ -435,11 +433,8 @@ def radial_modulus(solution: RadialSolution, t_knots) -> ModulusCurve:
     t_knots = np.asarray(t_knots, dtype=float)
     r = solution.r
     u = solution.u
-    w = np.empty(t_knots.size)
-    for i, t in enumerate(t_knots):
-        shifted = np.interp(np.minimum(r + t, 1.0), r, u)
-        w[i] = float(np.max(shifted - u))
-    w = np.maximum(np.maximum.accumulate(w), 0.0)
+    shifted = np.interp(np.minimum(r + t_knots[:, None], 1.0), r, u)  # (knots, grid)
+    w = np.maximum(np.maximum.accumulate((shifted - u).max(axis=1)), 0.0)
     return ModulusCurve(
         np.concatenate(([0.0], t_knots)), np.concatenate(([0.0], w))
     )

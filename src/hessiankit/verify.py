@@ -99,7 +99,6 @@ def suite_modulus(seed: int = 42, tol: float = 1e-12) -> list:
             hull_ok = False
     checks.append(_check("concave_majorant", hull_ok))
 
-    scal_ok = True
     worst = math.inf
     for _ in range(200):
         expo = float(rng.uniform(0.3, 1.0))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hessiankit
 from hessiankit import cli
 
 
@@ -23,6 +27,16 @@ def json_part(out: str) -> dict:
             if depth == 0:
                 return json.loads(out[: i + 1])
     raise AssertionError("no JSON object in output")
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is most of the import time; only radial quadrature needs it
+    src = os.path.dirname(os.path.dirname(hessiankit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, hessiankit.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestGamma:

@@ -432,6 +432,16 @@ class TestStackedKernel:
         assert (rep.inf_estimate, rep.exact_value, rep.minimizer_value) == expected
 
     @pytest.mark.parametrize("n, m", ORDERS)
+    def test_l_alpha_matches_subset_loop(self, n, m):
+        hessian = tuple_stack(n, 1, 1, 300 + 10 * n + m)[1][0, 0]  # indefinite
+        alphas = core.sample_sigma_m(n, m, max(m - 1, 1), seed=n + m)[: m - 1]
+        value = core.l_alpha(hessian, alphas)
+        assert type(value) is float and value == reference_polarized_form([hessian, *alphas])
+        if m >= 2:
+            with pytest.raises(DomainError, match="alpha 0 not normalized"):
+                core.l_alpha(hessian, [2.0 * alphas[0], *alphas[1:]])
+
+    @pytest.mark.parametrize("n, m", ORDERS)
     def test_samplers_match_loop(self, n, m):
         assert np.array_equal(core.sample_gamma_hat(n, m, 7, seed=n + m), reference_gamma_hat(n, 7, n + m))
         assert np.array_equal(core.sample_sigma_m(n, m, 7, seed=m), reference_sigma_m(n, m, 7, m))
@@ -479,8 +489,63 @@ class TestStackedKernel:
         with pytest.raises(ArgumentError):
             core.sigma_tilde(stack[2], 2)
 
+    def test_non_finite_input_and_overflowing_sums_rejected(self):
+        with pytest.raises(ArgumentError, match="non-finite"):
+            core.sigma_tilde(np.diag([np.nan, 1.0]), 1)
+        huge = np.diag([1e308, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ArgumentError):
+            core.garding_check([huge, huge])
+
     def test_one_form_outside_cone_rejected(self):
         stack = np.array(np.broadcast_to(np.eye(2), (4, 2, 2, 2)))
         stack[3, 1] = np.diag([5.0, -1.0])
         with pytest.raises(DomainError, match="argument 1"):
             core.garding_check(stack)
+
+
+class TestOneCheckOneDiagonalization:
+    """Each public call checks its caller's forms once and diagonalizes a
+    tuple stack once; forms the package built itself are not re-checked."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"eigvalsh": 0, "hermitian": 0}
+        eigvalsh, is_hermitian = np.linalg.eigvalsh, core._is_hermitian
+
+        def counted_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counted_is_hermitian(*args, **kwargs):
+            calls["hermitian"] += 1
+            return is_hermitian(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(core, "_is_hermitian", counted_is_hermitian)
+
+        def count(call):
+            calls.update(eigvalsh=0, hermitian=0)
+            call()
+            return calls["eigvalsh"], calls["hermitian"]
+
+        return count
+
+    def test_tuple_calls(self, counts):
+        single = list(core.sample_gamma_hat(4, 3, 3, seed=1))
+        stack = core.sample_gamma_hat(4, 3, 15, seed=2).reshape(5, 3, 4, 4)
+        for forms in (single, stack):
+            assert counts(lambda: core.polarized_form(forms)) == (1, 1)
+            assert counts(lambda: core.garding_check(forms)) == (1, 1)
+            assert counts(lambda: core.sigma_tilde(forms, 3)) == (1, 1)
+        assert counts(lambda: core.sigma_tilde(single[0], 3)) == (1, 1)
+        alphas = core.sample_sigma_m(4, 3, 2, seed=3)
+        assert counts(lambda: core.l_alpha(single[0], alphas)) == (1, 1)
+
+    def test_inf_characterization_and_sampler(self, counts):
+        a = core.sample_gamma_hat(3, 2, 1, seed=4)[0]
+        for m in (2, 3):
+            assert counts(lambda: core.inf_characterization(a, m, samples=5)) == (3, 1)
+        assert counts(lambda: core.inf_characterization(a, 1, samples=5)) == (1, 1)
+        degenerate = np.diag([1.0, 0.0, 0.0])
+        assert counts(lambda: core.inf_characterization(degenerate, 2, samples=5)) == (3, 1)
+        assert counts(lambda: core.sample_sigma_m(4, 3, 5, seed=5)) == (1, 0)

@@ -139,6 +139,48 @@ class TestEstimateModulus:
         assert curve.t[1] == edges[0] and curve.length == 1.0
 
 
+def pairwise_modulus(pts, vals, edges):
+    """Reference estimate: every pair i < j taken once, in a Python loop."""
+    sup = np.zeros(edges.size)
+    for i, j in itertools.combinations(range(len(vals)), 2):
+        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum())
+        if dist <= edges[-1]:
+            k = np.searchsorted(edges, dist, side="left")
+            sup[k] = max(sup[k], abs(vals[i] - vals[j]))
+    return np.concatenate(([0.0], np.maximum.accumulate(sup)))
+
+
+class TestExactPairsAgainstReference:
+    @pytest.mark.parametrize("count, dim", [(2, 1), (17, 1), (80, 2), (60, 4)])
+    def test_linear_and_geometric_edges(self, count, dim):
+        rng = np.random.default_rng(count + dim)
+        pts = rng.random((count, dim))
+        pts[count // 2 :: 5] = pts[0]  # duplicate points: zero distance, nonzero gaps
+        vals = np.sin(4.0 * pts.sum(axis=1)) + 0.1 * rng.standard_normal(count)
+        diameter = modulus._diameter_estimate(pts)
+        linear = np.linspace(0.0, diameter, 31)[1:]
+        geometric = np.geomspace(1e-3, 0.5 * diameter, 25)
+        for bins, edges in ((30, linear), (geometric, geometric)):
+            curve = modulus.estimate_modulus(pts, vals, bins=bins)
+            assert np.array_equal(curve.t[1:], edges)
+            assert np.array_equal(curve.w, pairwise_modulus(pts, vals, edges))
+
+    def test_several_row_blocks(self):
+        # 1,500 points take two row blocks; every pair i < j, vectorized
+        rng = np.random.default_rng(8)
+        pts = rng.random((1500, 2))
+        pts[700] = pts[1400]
+        vals = np.cos(3.0 * pts[:, 0]) * pts[:, 1]
+        edges = np.geomspace(1e-4, 1.0, 60)
+        i, j = np.triu_indices(1500, k=1)
+        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
+        keep = dist <= edges[-1]
+        sup = np.zeros(edges.size)
+        np.maximum.at(sup, np.searchsorted(edges, dist[keep]), np.abs(vals[i] - vals[j])[keep])
+        curve = modulus.estimate_modulus(pts, vals, bins=edges)
+        assert np.array_equal(curve.w, np.concatenate(([0.0], np.maximum.accumulate(sup))))
+
+
 class TestConcaveMajorant:
     def test_concave_input_fixed(self):
         c = ModulusCurve([0.0, 1.0, 2.0], [0.0, 1.0, 1.2])

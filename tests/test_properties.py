@@ -71,6 +71,33 @@ def test_batched_call_equals_per_tuple_calls(order, count, seed):
     )
 
 
+@PROPERTY
+@given(orders(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_garding_margin_nonnegative_on_positive_definite_tuples(order, count, seed):
+    n, m = order
+    tuples = core.sample_gamma_hat(n, m, count * m, seed).reshape(count, m, n, n)
+    rep = core.garding_check(tuples)
+    assert np.all(rep.margin >= -1e-10) and rep.passed.all()
+
+
+def hermitian(rng, shape):
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
+
+
+@PROPERTY
+@given(orders(), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+def test_polarization_linear_in_first_argument(order, c, seed):
+    n, m = order
+    forms = hermitian(np.random.default_rng(seed), (m + 1, n, n))
+    a, b, rest = forms[0], forms[1], list(forms[2:])
+    lhs = core.polarized_form([c * a + b, *rest])
+    rhs = c * core.polarized_form([a, *rest]) + core.polarized_form([b, *rest])
+    norm = [np.linalg.norm(f, 2) for f in forms]
+    scale = (abs(c) * norm[0] + norm[1]) * math.prod(norm[2:])
+    assert abs(lhs - rhs) <= 1e-9 * scale
+
+
 def test_subset_order_is_combinations_order():
     for m in range(1, 7):
         incidence, signs = core._subsets(m)

@@ -15,6 +15,41 @@ from hessiankit.radial import (
 )
 
 
+def reference_table_integral(table, t, n):
+    """The per-knot loop TableDensity.inner_integral replaced."""
+    if t == 0.0:
+        return 0.0
+    power = 2 * n - 1
+    p0 = table._segment_exponent(0)
+    if power + p0 <= -1:
+        raise DomainError("table density is not integrable against rho^(2n-1) at 0")
+    total = 0.0
+    lo = min(t, table.rho[0])
+    total += radial._power_primitive(table.values[0], table.rho[0], p0, 0.0, lo, power)
+    if t <= table.rho[0]:
+        return total
+    for i in range(table.rho.size - 1):
+        a = table.rho[i]
+        b = min(t, table.rho[i + 1])
+        if b <= a:
+            break
+        total += radial._power_primitive(table.values[i], a, table.exponents[i], a, b, power)
+        if t <= table.rho[i + 1]:
+            return total
+    pl = table._segment_exponent(table.rho.size - 2)
+    total += radial._power_primitive(table.values[-1], table.rho[-1], pl, table.rho[-1], t, power)
+    return total
+
+
+def reference_radial_modulus(solution, t_knots):
+    """The per-knot loop radial_modulus replaced."""
+    r, u = solution.r, solution.u
+    w = np.empty(t_knots.size)
+    for i, t in enumerate(t_knots):
+        w[i] = float(np.max(np.interp(np.minimum(r + t, 1.0), r, u) - u))
+    return np.concatenate(([0.0], np.maximum(np.maximum.accumulate(w), 0.0)))
+
+
 class TestConventions:
     def test_convention_ratio(self):
         rng = np.random.default_rng(5)
@@ -118,6 +153,26 @@ class TestTableDensity:
             )
             assert table.inner_integral(t, n) == pytest.approx(oracle, rel=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_inner_integral_matches_knot_loop(self, n):
+        rng = np.random.default_rng(40 + n)
+        for size in (2, 3, 150):
+            knots = np.sort(rng.uniform(0.02, 0.9, size))
+            # segment exponents in (-1.5, 1.5): integrable against rho^(2n-1)
+            steps = rng.uniform(-1.5, 1.5, size - 1) * np.diff(np.log(knots))
+            table = TableDensity(knots, np.exp(np.concatenate(([0.3], 0.3 + np.cumsum(steps)))))
+            mids = 0.5 * (knots[1:] + knots[:-1])
+            ts = [0.5 * knots[0], *knots, *mids, *rng.uniform(0.0, 1.0, 50), 0.95, 1.0, 2.0]
+            for t in ts:
+                for arg in (float(t), t):  # Python floats, as quad passes, and numpy scalars
+                    assert table.inner_integral(arg, n) == reference_table_integral(table, arg, n)
+
+    def test_non_integrable_table_rejected_on_every_call(self):
+        table = TableDensity([0.1, 0.5], [1.0, 1e-10])  # rho^-14.3 near 0
+        for t in (0.05, 0.3, 0.3, 2.0):
+            with pytest.raises(DomainError):
+                table.inner_integral(t, 2)
+
     def test_validation(self):
         with pytest.raises(ArgumentError):
             TableDensity([0.5, 0.2], [1.0, 1.0])
@@ -178,6 +233,16 @@ class TestHolderExponent:
         problem = RadialProblem(3, 2, ConstDensity(2.0), convention="form")
         rep = radial.holder_exponent_check(problem)
         assert rep.verdict
+
+    @pytest.mark.parametrize("density", [ConstDensity(1.0), PowerDensity(1.5)])
+    def test_radial_modulus_matches_knot_loop(self, density):
+        problem = RadialProblem(3, 2, density)
+        grid = np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 400)))
+        sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
+        for t_knots in (np.geomspace(1e-5, 0.3, 90), np.array([0.5, 1.0, 1.5])):
+            curve = radial.radial_modulus(sol, t_knots)
+            assert np.array_equal(curve.t[1:], t_knots)
+            assert np.array_equal(curve.w, reference_radial_modulus(sol, t_knots))
 
 
 class TestLogDensityInternals:
