@@ -33,14 +33,13 @@ is attributable.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import core
-from .errors import ArgumentError, DomainError
+from .errors import ArgumentError, DomainError, spec_number
 from .geometry import Domain, sample_boundary, sample_interior
 from .modulus import (
     HolderFit,
@@ -190,7 +189,7 @@ def make_boundary_data(spec: str, domain: Domain) -> BoundaryData:
     if spec == "psi_sqrt":
         return boundary_psi_sqrt(domain)
     if spec.startswith("const:"):
-        return boundary_const(domain, float(spec.split(":", 1)[1]))
+        return boundary_const(domain, spec_number(spec.split(":", 1)[1], spec))
     raise ArgumentError(f"unknown boundary data {spec!r}")
 
 
@@ -281,14 +280,14 @@ def _max_abs_g(domain: Domain, xi, b_coeff: float, z) -> np.ndarray:
     return np.where(rho <= 0.0, np.abs(b_coeff * rho - s), 0.0).max(axis=-1)
 
 
-def _choose_radius(domain: Domain, xis, b_coeff: float, seeds, samples: int = 256) -> np.ndarray:
+def _choose_radius(domain: Domain, xis, b_coeff: float, seeds) -> np.ndarray:
     """Largest r per xi with |g| <= d^2 sampled on B(xi, r) inside the domain.
 
     r = d where that already holds; the other xi are bisected together.
-    Each xi draws its samples from its own stream ``(seed, 104729)``.
+    Each xi draws 256 samples from its own stream ``(seed, 104729)``.
     """
     d = domain.diameter
-    unit = np.stack([_unit_ball((seed, 104729), domain.n, samples) for seed in seeds])
+    unit = np.stack([_unit_ball((seed, 104729), domain.n, 256) for seed in seeds])
     xis = xis[:, None, :]
     r = np.full(len(unit), d)
     todo = _max_abs_g(domain, xis, b_coeff, xis + d * unit) > d * d
@@ -333,7 +332,7 @@ class BarrierEnvelope:
     """
 
     def __init__(self, barriers: BarrierParams, phi_xi, omega_bar: ModulusCurve,
-                 data: BoundaryData, domain: Domain, m: int, f_sup: float, seed):
+                 data: BoundaryData, domain: Domain, m: int):
         if len(barriers) < 1:
             raise ArgumentError("envelope needs at least one point barrier")
         self.barriers = barriers
@@ -342,8 +341,6 @@ class BarrierEnvelope:
         self.data = data
         self.domain = domain
         self.m = m
-        self.f_sup = float(f_sup)
-        self.seed = seed
 
     @property
     def xis(self) -> np.ndarray:
@@ -422,7 +419,7 @@ class NegatedEnvelope:
 
 
 def _envelope(
-    xis, seeds, data: BoundaryData, domain: Domain, m: int, f_sup: float, seed,
+    xis, seeds, data: BoundaryData, domain: Domain, m: int, f_sup: float,
     b_coeff: float | None = None, omega_bar: ModulusCurve | None = None,
     params: BarrierParams | None = None,
 ) -> BarrierEnvelope:
@@ -457,7 +454,7 @@ def _envelope(
         params = BarrierParams(B=b_coeff, r=r, r1=r1, gamma1=gamma1, gamma2=gamma2,
                                K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
     phi_xi = np.asarray(data.phi(xis), dtype=float)
-    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m, f_sup, seed)
+    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m)
 
 
 def build_point_barrier(
@@ -488,7 +485,7 @@ def build_point_barrier(
         if _max_abs_g(domain, xi, params.B, z) > d * d * (1 + 1e-9):
             raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
     return _envelope(
-        xi[None, :], [seed], data, domain, m, f_sup, seed, b_coeff, omega_bar, params
+        xi[None, :], [seed], data, domain, m, f_sup, b_coeff, omega_bar, params
     )
 
 
@@ -520,7 +517,7 @@ def build_subsolution(
             f_sup = float(np.max(np.asarray(f(probe), dtype=float)))
     xis = sample_boundary(domain, xi_count, seed)
     seeds = [(seed, i) for i in range(xi_count)]
-    return _envelope(xis, seeds, data, domain, m, f_sup, seed)
+    return _envelope(xis, seeds, data, domain, m, f_sup)
 
 
 def build_supersolution(
@@ -570,25 +567,20 @@ class BarrierReport:
             "ceiling": self.ceiling,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
-
-def verification_grid(
-    domain: Domain, count: int, seed: int, anchors=None, depth_min: float = 1e-6
-) -> np.ndarray:
+def verification_grid(domain: Domain, count: int, seed: int, anchors=None) -> np.ndarray:
     """Interior evaluation grid: uniform bulk plus rays toward anchors.
 
-    Rays approach the anchors with geometrically graded depths, which is
-    what resolves boundary-degenerate moduli; the bulk covers everything
-    else.
+    Rays approach the anchors with depths graded geometrically from 1e-6,
+    which is what resolves boundary-degenerate moduli; the bulk covers
+    everything else.
     """
     bulk_count = count if anchors is None or len(anchors) == 0 else count // 2
     parts = [sample_interior(domain, bulk_count, seed)]
     if anchors is not None and len(anchors) > 0:
         per = max((count - bulk_count) // len(anchors), 2)
         for a in np.asarray(anchors, dtype=complex):
-            depths = np.geomspace(depth_min, 1.0, per)
+            depths = np.geomspace(1e-6, 1.0, per)
             parts.append(a[None, :] * (1.0 - depths)[:, None])
     return np.concatenate(parts, axis=0)
 
@@ -603,7 +595,6 @@ def verify_modulus_bound(
     bins: int = 200,
     seed: int = 42,
     ceiling: float | None = None,
-    window: tuple[float, float] | None = None,
 ) -> BarrierReport:
     """Estimate omega_v on an anchored interior grid and fit the bound
 
@@ -635,10 +626,8 @@ def verify_modulus_bound(
         violations = [float(x) for x in t[mask]]
         passed = not bool(mask.any())
 
-    if window is None:
-        window = (5e-4 * d, 5e-2 * d)
     try:
-        fit = holder_fit(curve, window)
+        fit = holder_fit(curve, (5e-4 * d, 5e-2 * d))
     except ArgumentError:
         fit = None  # flat data (constant phi) has no positive knots
 
@@ -666,6 +655,7 @@ def verify_modulus_bound(
 # ---------------------------------------------------------------------------
 # Finite-difference probes
 
+PROBE_STEP = 1e-5  # stencil step of the probes' finite-difference Hessians
 
 def fd_stencil(z, h: float) -> np.ndarray:
     """All evaluation nodes of the dense central-difference Hessian.
@@ -722,14 +712,6 @@ def fd_real_hessian(func, z, h: float = 1e-4) -> np.ndarray:
     return _hessian_from_stencil(values, 2 * z.size, h)
 
 
-def fd_complex_hessian(func, z, h: float = 1e-4) -> np.ndarray:
-    return core.complex_hessian_from_real(_symmetrized(fd_real_hessian(func, z, h)))
-
-
-def _symmetrized(q):
-    return 0.5 * (q + np.swapaxes(q, -1, -2))
-
-
 @dataclass
 class ProbeSummary:
     points_tested: int
@@ -738,7 +720,7 @@ class ProbeSummary:
     scale: float
 
 
-def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float):
+def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int):
     """Probe point count, the smooth probe points and their complex Hessians.
 
     Probe points are interior samples deeper than the stencil.  A point is
@@ -747,6 +729,7 @@ def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float)
     derivatives there only add positivity, which finite differences cannot
     certify.  The Hessians come as one (points, n, n) stack.
     """
+    h = PROBE_STEP
     domain = envelope.domain
     pts = sample_interior(domain, 4 * count, seed)
     depth = np.abs(domain.rho(pts)) / domain.lipschitz_rho()
@@ -755,7 +738,7 @@ def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int, h: float)
     info = envelope.branch_info(nodes.reshape(-1, domain.n))
     branch, gap, values = (x.reshape(nodes.shape[:2]) for x in info)
     smooth = np.all(branch == branch[:, :1], axis=1) & (gap.min(axis=1) > 0.0)
-    q = _symmetrized(_hessian_from_stencil(values[smooth], 2 * domain.n, h))
+    q = _hessian_from_stencil(values[smooth], 2 * domain.n, h)
     return pts.shape[0], pts[smooth], core.complex_hessian_from_real(q)
 
 
@@ -763,11 +746,10 @@ def msh_probe(
     envelope: BarrierEnvelope,
     count: int = 200,
     seed: int = 123,
-    h: float = 1e-5,
 ) -> ProbeSummary:
     """Cone membership of the finite-difference Hessian at smooth points."""
     m = envelope.m
-    tested, _, hessians = _smooth_hessians(envelope, count, seed, h)
+    tested, _, hessians = _smooth_hessians(envelope, count, seed)
     eigs = np.linalg.eigvalsh(hessians)
     margins = core.elementary_symmetric_all(eigs, m)[:, 1:].min(axis=1)
     return ProbeSummary(
@@ -784,12 +766,11 @@ def lalpha_probe(
     count: int = 60,
     alpha_samples: int = 20,
     seed: int = 321,
-    h: float = 1e-5,
 ) -> ProbeSummary:
     """Sampled subsolution test: l_alpha(v) >= f^(1/m) at smooth points."""
     n = envelope.domain.n
     m = envelope.m
-    tested, zs, hessians = _smooth_hessians(envelope, count, seed, h)
+    tested, zs, hessians = _smooth_hessians(envelope, count, seed)
     # one (point, alpha tuple) stack of m-tuples (hessian, a_1, ..., a_{m-1})
     tuples = np.empty((len(zs), alpha_samples if m >= 2 else 1, m, n, n), dtype=complex)
     tuples[:, :, 0] = hessians[:, None]

@@ -2,9 +2,10 @@
 
 Every subcommand prints one JSON report to stdout (and writes it, plus any
 CSV artifacts, under ``--output-dir`` when given).  Reports embed the
-command line, seed, tolerances and version, and are byte-identical across
-runs with identical flags.  Exit codes: 0 success, 1 failed verification,
-2 usage error.
+command line and version, plus the seed and tolerance of the subcommands
+that take those flags, and are byte-identical across runs with identical
+flags.  Each subcommand accepts only the flags it reads.  Exit codes:
+0 success, 1 failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ import sys
 import numpy as np
 
 from . import __version__, barrier, core, geometry, modulus, radial, verify
-from .errors import ArgumentError, DomainError, QuadratureError
+from .errors import ArgumentError, DomainError, QuadratureError, spec_number
 
 
 def _report(args, result: dict, name: str, extra_files: dict | None = None) -> str:
     payload = {
         "command": "hessiankit " + " ".join(args.raw_argv),
         "version": __version__,
-        "seed": getattr(args, "seed", None),
-        "tol": getattr(args, "tol", None),
         "result": result,
     }
+    payload.update({key: getattr(args, key) for key in ("seed", "tol") if hasattr(args, key)})
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError:
@@ -51,8 +51,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type for count flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _parse_lambda(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",") if x])
+    return np.array([spec_number(x, text) for x in text.split(",") if x])
 
 
 def cmd_cone(args) -> int:
@@ -73,8 +81,9 @@ def cmd_cone(args) -> int:
 
 def cmd_garding(args) -> int:
     forms = core.sample_gamma_hat(args.n, args.m, args.samples * args.m, args.seed)
-    margins = core.garding_check(forms.reshape(args.samples, args.m, args.n, args.n)).margin
     effective = args.tol if args.tol is not None else 1e-10
+    rep = core.garding_check(forms.reshape(args.samples, args.m, args.n, args.n), tol=effective)
+    margins = rep.margin
     result = {
         "n": args.n,
         "m": args.m,
@@ -83,14 +92,17 @@ def cmd_garding(args) -> int:
         "mean_margin": float(margins.mean()),
         "max_margin": float(margins.max()),
         "tol_effective": effective,
-        "pass": bool(margins.min() >= -effective),
+        "pass": bool(np.all(rep.passed)),
     }
     sys.stdout.write(_report(args, result, "garding"))
     return 0
 
 
 def cmd_modulus(args) -> int:
-    rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ArgumentError(f"cannot read input CSV {args.input!r}: {exc}") from None
     if rows.shape[1] < 2:
         raise ArgumentError("input CSV needs coordinate columns plus a value column")
     points = rows[:, :-1]
@@ -118,7 +130,7 @@ def cmd_barrier(args) -> int:
     if args.f == "zero":
         f, f_sup = None, 0.0
     elif args.f.startswith("const:"):
-        c = float(args.f.split(":", 1)[1])
+        c = spec_number(args.f.split(":", 1)[1], args.f)
         f, f_sup = (lambda z: np.full(np.asarray(z).shape[0], c)), c
     else:
         raise ArgumentError(f"unknown density spec {args.f!r}")
@@ -204,62 +216,63 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tol", type=finite_float, default=None)
     common.add_argument("--output-dir", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
     common.add_argument("--config", default=None,
-                        help="key=value file mirroring flags; flags win")
+                        help="key=value file of flags this subcommand takes; flags win")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("cone", parents=[common])
+    def add(name, func, seed=False, tol=False, fmt=False):
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(func=func)
+        if seed:
+            p.add_argument("--seed", type=int, default=42)
+        if tol:
+            p.add_argument("--tol", type=finite_float, default=None)
+        if fmt:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
+
+    p = add("cone", cmd_cone, tol=True)
     p.add_argument("--lambda", dest="lam", required=True, help="comma separated eigenvalues")
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=cmd_cone)
 
-    p = sub.add_parser("garding", parents=[common])
+    p = add("garding", cmd_garding, seed=True, tol=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=cmd_garding)
+    p.add_argument("--samples", type=positive_int, default=1000)
 
-    p = sub.add_parser("modulus", parents=[common])
+    p = add("modulus", cmd_modulus, seed=True, fmt=True)
     p.add_argument("--input", required=True, help="CSV: coordinates..., value")
-    p.add_argument("--bins", type=int, default=200)
+    p.add_argument("--bins", type=positive_int, default=200)
     p.add_argument("--t-max", type=finite_float, default=None)
-    p.set_defaults(func=cmd_modulus)
 
-    p = sub.add_parser("barrier", parents=[common])
+    p = add("barrier", cmd_barrier, seed=True)
     p.add_argument("--domain", default="ball:1")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--phi", default="re_z1", help="re_z1 | psi_sqrt | const:c")
     p.add_argument("--f", default="zero", help="zero | const:c")
-    p.add_argument("--xi-samples", type=int, default=500)
-    p.add_argument("--grid", type=int, default=20000)
-    p.add_argument("--bins", type=int, default=200)
+    p.add_argument("--xi-samples", type=positive_int, default=500)
+    p.add_argument("--grid", type=positive_int, default=20000)
+    p.add_argument("--bins", type=positive_int, default=200)
     p.add_argument("--ceiling", type=finite_float, default=None)
-    p.set_defaults(func=cmd_barrier)
 
-    p = sub.add_parser("radial", parents=[common])
+    p = add("radial", cmd_radial, tol=True, fmt=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--density", default="const:1", help="const:c | power:a | log:g | zero")
     p.add_argument("--convention", choices=radial.CONVENTIONS, default="form")
-    p.add_argument("--grid", type=int, default=2000)
-    p.set_defaults(func=cmd_radial)
+    p.add_argument("--grid", type=positive_int, default=2000)
 
-    p = sub.add_parser("gamma", parents=[common])
+    p = add("gamma", cmd_gamma)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--p", type=finite_float, required=True)
     p.add_argument("--r", type=finite_float, default=1.0)
-    p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--suite", default="all", choices=("all",) + verify.SUITES)
-    p.set_defaults(func=cmd_verify)
+    p = add("verify", cmd_verify, seed=True)
+    p.add_argument("--suite", default="all", choices=["all", *verify.SUITES])
 
     return parser
 

@@ -76,11 +76,6 @@ def _symmetric_all(lam: np.ndarray, m: int) -> np.ndarray:
     return coeffs.T
 
 
-def elementary_symmetric(values, k: int) -> float:
-    """H_k(lambda) via the product recurrence."""
-    return float(_symmetric_all(_as_vector(values), k)[k])
-
-
 def elementary_symmetric_enumerate(values, k: int) -> float:
     """Subset-enumeration evaluation of H_k, for cross-checking only.
 
@@ -113,9 +108,6 @@ class ConeReport:
     h_values: np.ndarray  # H_1 .. H_m
     member: bool
     margin: float  # min over j <= m of H_j
-
-    def __iter__(self):
-        return iter((self.h_values, self.member, self.margin))
 
 
 def gamma_m_contains(values, m: int, tol: float | None = None) -> ConeReport:
@@ -162,11 +154,11 @@ def maclaurin_check(values, m: int) -> np.ndarray:
 # Hermitian forms
 
 
-def _is_hermitian(a: np.ndarray, tol: float) -> bool:
-    """Each matrix of a is within tol * (1 + its max|a|) of its adjoint."""
+def _is_hermitian(a: np.ndarray) -> bool:
+    """Each matrix of a is within HERMITIAN_TOL * (1 + its max|a|) of its adjoint."""
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     skew = np.abs(a - np.swapaxes(a.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-    return not np.any(skew > tol * (1.0 + scale))
+    return not np.any(skew > HERMITIAN_TOL * (1.0 + scale))
 
 
 def _as_hermitian(entries) -> np.ndarray:
@@ -176,7 +168,7 @@ def _as_hermitian(entries) -> np.ndarray:
         raise ArgumentError("form coefficients must be a square matrix")
     if not np.isfinite(a).all():
         raise ArgumentError("form coefficients contain non-finite entries")
-    if not _is_hermitian(a, HERMITIAN_TOL):
+    if not _is_hermitian(a):
         raise ArgumentError("matrix is not Hermitian within tolerance")
     return a
 
@@ -189,11 +181,6 @@ def sigma_tilde(entries, m: int):
         raise ArgumentError(f"order m={m} out of range for n={n}")
     h = _symmetric_all(np.linalg.eigvalsh(a), m)[..., m] / math.comb(n, m)
     return float(h) if a.ndim == 2 else h
-
-
-def form_in_gamma_hat(entries, m: int, tol: float | None = None) -> ConeReport:
-    """Gamma_hat_m membership of a form: Gamma_m membership of its eigenvalues."""
-    return gamma_m_contains(np.linalg.eigvalsh(_as_hermitian(entries)), m, tol)
 
 
 def _as_tuples(forms) -> np.ndarray:
@@ -290,10 +277,10 @@ def garding_check(forms, tol: float = 1e-10) -> GardingReport:
 # Seeded samplers
 
 
-def sample_gamma_hat(n: int, m: int, count: int, seed: int, eps: float = 0.01) -> np.ndarray:
+def sample_gamma_hat(n: int, m: int, count: int, seed: int) -> np.ndarray:
     """Random Hermitian forms in the interior of Gamma_hat_m.
 
-    Draws A = G G* + eps I with complex Gaussian G, which is positive
+    Draws A = G G* / n + 0.01 I with complex Gaussian G, which is positive
     definite, hence inside every cone.  Deterministic for a fixed seed.
     """
     if not 1 <= m <= n:
@@ -303,17 +290,17 @@ def sample_gamma_hat(n: int, m: int, count: int, seed: int, eps: float = 0.01) -
     # per form: the real then the imaginary part of G, as drawn one at a time
     draws = np.random.default_rng(seed).standard_normal((count, 2, n, n))
     g = draws[:, 0] + 1j * draws[:, 1]
-    return g @ np.swapaxes(g.conj(), -1, -2) / n + eps * np.eye(n)
+    return g @ np.swapaxes(g.conj(), -1, -2) / n + 0.01 * np.eye(n)
 
 
-def sample_sigma_m(n: int, m: int, count: int, seed: int, eps: float = 0.01) -> np.ndarray:
+def sample_sigma_m(n: int, m: int, count: int, seed: int) -> np.ndarray:
     """Random forms on Sigma_m: positive definite, rescaled to sigma_tilde = 1.
 
     sigma_tilde is homogeneous of degree m, so dividing by
     sigma_tilde(A)^(1/m) lands exactly on the unit level set.  The roots are
     Python float powers (numpy's array power rounds some differently).
     """
-    forms = sample_gamma_hat(n, m, count, seed, eps)
+    forms = sample_gamma_hat(n, m, count, seed)
     sig = _symmetric_all(np.linalg.eigvalsh(forms), m)[:, m] / math.comb(n, m)
     roots = [s ** (1.0 / m) for s in sig.tolist()]
     return forms / np.array(roots)[:, None, None]
@@ -363,18 +350,19 @@ def inf_characterization(
     return InfCharacterization(float(values.min()), exact, minimizer_value)
 
 
-def l_alpha(hessian, alphas, tol: float = SIGMA_NORMALIZATION_TOL) -> float:
+def l_alpha(hessian, alphas) -> float:
     """Linearized Hessian operator: M(hessian, a_1, ..., a_{m-1}).
 
-    The a_i must lie on Sigma_m (sigma_tilde = 1 within ``tol``); m is one
-    more than their number.  Pointwise, requiring l_alpha(u) >= f^(1/m) for
-    all Sigma_m tuples is the subsolution test for twice differentiable u.
+    The a_i must lie on Sigma_m (sigma_tilde = 1 within
+    ``SIGMA_NORMALIZATION_TOL``); m is one more than their number.
+    Pointwise, requiring l_alpha(u) >= f^(1/m) for all Sigma_m tuples is
+    the subsolution test for twice differentiable u.
     """
     tuples = _as_tuples([hessian, *alphas])
     m = tuples.shape[-3]
     _, h, value = _subset_spectra(tuples)
     sig = h[1:m, m] / math.comb(tuples.shape[-1], m)  # the alphas' sigma_tilde
-    off = np.flatnonzero(np.abs(sig - 1.0) > tol)
+    off = np.flatnonzero(np.abs(sig - 1.0) > SIGMA_NORMALIZATION_TOL)
     if off.size:
         raise DomainError(f"alpha {off[0]} not normalized: sigma_tilde={float(sig[off[0]])!r}")
     return float(value)
@@ -396,7 +384,7 @@ def complex_hessian_from_real(q) -> np.ndarray:
     qm = np.asarray(q, dtype=float)
     if qm.ndim < 2 or qm.shape[-1] != qm.shape[-2] or qm.shape[-1] % 2:
         raise ArgumentError("real Hessian must be square with even dimension")
-    if not _is_hermitian(qm, 1e-12):
+    if not _is_hermitian(qm):
         raise ArgumentError("real Hessian must be symmetric")
     x, y = qm[..., 0::2, :], qm[..., 1::2, :]  # the x_j and the y_j rows
     return ((x[..., 0::2] + y[..., 1::2]) + 1j * (x[..., 1::2] - y[..., 0::2])) / 4.0

@@ -23,3 +23,15 @@ class QuadratureError(RuntimeError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+def spec_number(text: str, spec: str) -> float:
+    """The number ``text`` read from the input spec ``spec``.
+
+    A malformed number raises :class:`ArgumentError` naming the spec, so the
+    command line reports a usage error instead of a traceback.
+    """
+    try:
+        return float(text)
+    except ValueError:
+        raise ArgumentError(f"{spec!r}: {text!r} is not a number") from None

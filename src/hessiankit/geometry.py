@@ -6,8 +6,7 @@ Both carry a global defining function rho with constant complex Hessian,
     ellipsoid(a_1..a_n): rho(z) = sum a_j |z_j|^2 - 1,  hess = diag(a)
 
 so they are strongly m-pseudoconvex for every m <= n with an explicitly
-computable constant.  Points are complex vectors of length n; the real
-gradient is packed as the complex vector g_j = d rho/dx_j + i d rho/dy_j.
+computable constant.  Points are complex vectors of length n.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import elementary_symmetric_all
-from .errors import ArgumentError, DomainError
-
-BOUNDARY_TOL = 1e-10
+from .errors import ArgumentError, DomainError, spec_number
 
 
 @dataclass(frozen=True)
@@ -50,9 +47,9 @@ class Domain:
         if kind == "ball":
             if n is None:
                 raise ArgumentError("ball domain needs the dimension n")
-            return Domain.ball(n, float(rest) if rest else 1.0)
+            return Domain.ball(n, spec_number(rest, text) if rest else 1.0)
         if kind == "ellipsoid":
-            coeffs = [float(x) for x in rest.split(",") if x]
+            coeffs = [spec_number(x, text) for x in rest.split(",") if x]
             dom = Domain.ellipsoid(coeffs)
             if n is not None and dom.n != n:
                 raise ArgumentError("ellipsoid coefficient count disagrees with n")
@@ -68,14 +65,7 @@ class Domain:
         a = np.asarray(self.coeffs)
         return (a * np.abs(z) ** 2).sum(axis=-1) - 1.0
 
-    def grad_rho(self, z) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        if self.kind == "ball":
-            return 2.0 * z
-        a = np.asarray(self.coeffs)
-        return 2.0 * a * z
-
-    def hess_rho(self, z=None) -> np.ndarray:
+    def hess_rho(self) -> np.ndarray:
         if self.kind == "ball":
             return np.eye(self.n, dtype=complex)
         return np.diag(np.asarray(self.coeffs, dtype=complex))
@@ -104,9 +94,6 @@ class Domain:
             return 2.0 * self.radius * 1.05
         rmax = self.boundary_radius_range()[1]
         return 2.0 * max(self.coeffs) * rmax * 1.05
-
-    def contains(self, z, tol: float = 0.0) -> np.ndarray:
-        return self.rho(z) < tol
 
 
 def pseudoconvexity_constant(domain: Domain, m: int) -> float:

@@ -10,7 +10,6 @@ exactly by a monotone-chain hull scan.
 from __future__ import annotations
 
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,14 +80,6 @@ class ModulusCurve:
         t = np.array([float(r[0]) for r in rows])
         w = np.array([float(r[1]) for r in rows])
         return cls(t, w)
-
-    def to_json(self) -> str:
-        return json.dumps({"t": self.t.tolist(), "w": self.w.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModulusCurve":
-        obj = json.loads(text)
-        return cls(obj["t"], obj["w"])
 
 
 def linear_curve(slope: float, length: float, knots: int = 257) -> ModulusCurve:

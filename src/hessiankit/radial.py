@@ -22,12 +22,12 @@ Two normalizations of B are implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import elementary_symmetric_all
-from .errors import ArgumentError, DomainError, QuadratureError
+from .errors import ArgumentError, DomainError, QuadratureError, spec_number
 from .modulus import HolderFit, ModulusCurve, holder_fit
 
 DEFAULT_TOL = 1e-10
@@ -202,11 +202,11 @@ def parse_density(text: str, m: int) -> object:
         return ConstDensity(0.0)
     kind, _, arg = text.partition(":")
     if kind == "const":
-        return ConstDensity(float(arg))
+        return ConstDensity(spec_number(arg, text))
     if kind == "power":
-        return PowerDensity(float(arg))
+        return PowerDensity(spec_number(arg, text))
     if kind == "log":
-        return LogDensity(float(arg), m)
+        return LogDensity(spec_number(arg, text), m)
     raise ArgumentError(f"unknown density {text!r}")
 
 
@@ -272,9 +272,7 @@ class RadialSolution:
     r: np.ndarray
     u: np.ndarray
     B_used: float
-    quadrature_tol: float
     achieved_error: float
-    problem: dict = field(default_factory=dict)
 
     def interp(self, x):
         return np.interp(x, self.r, self.u)
@@ -283,16 +281,6 @@ class RadialSolution:
         lines = ["r,U"]
         lines += [f"{ri:.17g},{ui:.17g}" for ri, ui in zip(self.r, self.u)]
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "B_used": self.B_used,
-            "quadrature_tol": self.quadrature_tol,
-            "achieved_error": self.achieved_error,
-            "r": self.r.tolist(),
-            "U": self.u.tolist(),
-        }
 
 
 def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> RadialSolution:
@@ -351,9 +339,7 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
         r=r,
         u=u,
         B_used=problem.B,
-        quadrature_tol=tol,
         achieved_error=total_err * problem.B,
-        problem=problem.describe(),
     )
 
 
@@ -440,25 +426,20 @@ def radial_modulus(solution: RadialSolution, t_knots) -> ModulusCurve:
     )
 
 
-def holder_exponent_check(
-    problem: RadialProblem,
-    solution: RadialSolution | None = None,
-    window: tuple[float, float] = (1e-4, 1e-2),
-    tolerance: float = 0.03,
-) -> RadialHolderReport:
-    """Fit the growth exponent of omega_U near 0 and compare to the target.
+def holder_exponent_check(problem: RadialProblem) -> RadialHolderReport:
+    """Fit the growth exponent of omega_U over [1e-4, 1e-2] and compare it
+    to the target within 0.03.
 
     For the power density the target is min(1, 2 - alpha/m); for the
     constant density it is 1 (the profile is a multiple of r^2 - 1).  For
-    other densities only the fit is reported.  The default solution grid
-    starts at 0 so the modulus resolves the behaviour at the origin.
+    other densities only the fit is reported.  The solution grid starts at
+    0 so the modulus resolves the behaviour at the origin.
     """
-    if solution is None:
-        grid = np.concatenate(([0.0], np.geomspace(1e-7, 1.0, 3000)))
-        solution = radial_solve(problem, grid=grid, tol=1e-10)
+    grid = np.concatenate(([0.0], np.geomspace(1e-7, 1.0, 3000)))
+    solution = radial_solve(problem, grid=grid, tol=1e-10)
     t_knots = np.geomspace(1e-5, 0.3, 90)
     curve = radial_modulus(solution, t_knots)
-    fit = holder_fit(curve, window)
+    fit = holder_fit(curve, (1e-4, 1e-2))
     density = problem.density
     if isinstance(density, ConstDensity):
         expected = 1.0
@@ -466,7 +447,7 @@ def holder_exponent_check(
         expected = min(1.0, 2.0 - density.alpha / problem.m)
     else:
         expected = None
-    verdict = None if expected is None else bool(abs(fit.exponent - expected) <= tolerance)
+    verdict = None if expected is None else bool(abs(fit.exponent - expected) <= 0.03)
     return RadialHolderReport(fit=fit, expected=expected, verdict=verdict, curve=curve)
 
 
@@ -475,7 +456,7 @@ class LogExampleReport:
     gamma: float
     n: int
     m: int
-    k_values: np.ndarray  # |U(10^-k)| for k = 1..k_max
+    k_values: np.ndarray  # |U(10^-k)| for k = 1..LOG_K_MAX
     verdict: str  # "bounded" or "unbounded"
     divergent: bool
     expected_unbounded: bool
@@ -485,13 +466,13 @@ class LogExampleReport:
     bound_ok: bool
 
 
-def _fit_growth_exponent(k_values: np.ndarray, k_max: int) -> float:
+def _fit_growth_exponent(k_values: np.ndarray) -> float:
     """Fit e in |U(10^-k)| ~ A + B s_k^e with s_k = 1 + k log 10.
 
     The basis degenerates to A + B log s at e = 0; a grid scan with a
     two-column least squares per candidate is robust and deterministic.
     """
-    s = 1.0 + np.arange(1, k_max + 1) * math.log(10.0)
+    s = 1.0 + np.arange(1, k_values.size + 1) * math.log(10.0)
     best_e, best_res = 0.0, math.inf
     for e in np.linspace(-3.0, 3.0, 601):
         col = np.log(s) if abs(e) < 5e-3 else s**e
@@ -503,19 +484,16 @@ def _fit_growth_exponent(k_values: np.ndarray, k_max: int) -> float:
     return best_e
 
 
-def log_example_check(
-    gamma: float,
-    n: int,
-    m: int,
-    k_max: int = 8,
-    fit_window: tuple[float, float] = (1e-6, 0.5),
-    tol: float = 1e-9,
-) -> LogExampleReport:
+LOG_K_MAX = 8  # the log example reads |U(10^-k)| for k = 1..LOG_K_MAX
+LOG_FIT_WINDOW = (1e-6, 0.5)  # radii over which its constant C is fitted
+
+
+def log_example_check(gamma: float, n: int, m: int) -> LogExampleReport:
     """Criticality check for the density rho^(-2m) (1 - log rho)^(-gamma).
 
     Classifies the profile as bounded or unbounded from |U(10^-k)| for
-    k = 1..k_max and fits the constant C in U(r) <= C (1 - (1 - log r)^(1 -
-    gamma/m)) over ``fit_window``.
+    k = 1..LOG_K_MAX and fits the constant C in U(r) <= C (1 - (1 - log
+    r)^(1 - gamma/m)) over ``LOG_FIT_WINDOW``.
 
     Growth thresholds: for n > m the profile grows like (1 - log
     r)^(1 - gamma/m), unbounded exactly when gamma <= m.  For n = m the
@@ -530,7 +508,7 @@ def log_example_check(
     """
     theoretical = (m + 1.0 - gamma) / m if n == m else 1.0 - gamma / m
     if n == m and gamma <= 1.0:
-        k_values = np.full(k_max, np.inf)
+        k_values = np.full(LOG_K_MAX, np.inf)
         return LogExampleReport(
             gamma=gamma,
             n=n,
@@ -545,24 +523,25 @@ def log_example_check(
             bound_ok=False,
         )
     problem = RadialProblem(n=n, m=m, density=LogDensity(gamma, m), convention="form")
-    r_pows = 10.0 ** (-np.arange(1, k_max + 1, dtype=float))
+    lo, hi = LOG_FIT_WINDOW
+    r_pows = 10.0 ** (-np.arange(1, LOG_K_MAX + 1, dtype=float))
     grid = np.unique(
         np.concatenate(
             [
                 r_pows,
-                np.geomspace(10.0 ** (-k_max), 1.0, 200),
-                np.geomspace(fit_window[0], fit_window[1], 60),
+                np.geomspace(10.0 ** (-LOG_K_MAX), 1.0, 200),
+                np.geomspace(lo, hi, 60),
             ]
         )
     )
-    sol = radial_solve(problem, grid=grid, tol=tol)
+    sol = radial_solve(problem, grid=grid, tol=1e-9)
     k_values = np.abs(sol.interp(r_pows))
     increasing = bool(np.all(np.diff(k_values) > 0))
-    growth = _fit_growth_exponent(k_values, k_max)
+    growth = _fit_growth_exponent(k_values)
     verdict = "unbounded" if (increasing and growth > -0.05) else "bounded"
     expected_unbounded = gamma <= (m + 1.0 if n == m else float(m))
 
-    mask = (sol.r >= fit_window[0]) & (sol.r <= fit_window[1])
+    mask = (sol.r >= lo) & (sol.r <= hi)
     rw = sol.r[mask]
     uw = sol.u[mask]
     shape = 1.0 - (1.0 - np.log(rw)) ** (1.0 - gamma / m)

@@ -13,14 +13,12 @@ import numpy as np
 
 from . import barrier, core, geometry, modulus, radial
 
-SUITES = ("core", "modulus", "barrier", "radial")
-
 
 def _check(name: str, passed: bool, **detail) -> dict:
     return {"name": name, "pass": bool(passed), "detail": detail}
 
 
-def suite_core(seed: int = 42, tol: float = 1e-10) -> list:
+def suite_core(seed: int = 42) -> list:
     checks = []
 
     worst = math.inf
@@ -29,7 +27,7 @@ def suite_core(seed: int = 42, tol: float = 1e-10) -> list:
             forms = core.sample_gamma_hat(n, m, 200 * m, seed + 10 * n + m)
             margins = core.garding_check(forms.reshape(200, m, n, n)).margin
             worst = min(worst, float(margins.min()))
-    checks.append(_check("garding_margin", worst >= -tol, min_margin=worst))
+    checks.append(_check("garding_margin", worst >= -1e-10, min_margin=worst))
 
     mac_ok = True
     rng = np.random.default_rng(seed + 1)
@@ -76,7 +74,7 @@ def suite_core(seed: int = 42, tol: float = 1e-10) -> list:
     return checks
 
 
-def suite_modulus(seed: int = 42, tol: float = 1e-12) -> list:
+def suite_modulus(seed: int = 42) -> list:
     checks = []
     rng = np.random.default_rng(seed)
 
@@ -107,8 +105,7 @@ def suite_modulus(seed: int = 42, tol: float = 1e-12) -> list:
         t = float(rng.uniform(0.05, 1.0 / max(eta, 1.0)))
         sb = modulus.scaling_bound_check(curve, eta, t)
         worst = min(worst, sb.margin_lower, sb.margin_upper)
-    scal_ok = worst >= -tol
-    checks.append(_check("scaling_bound", scal_ok, min_margin=worst))
+    checks.append(_check("scaling_bound", worst >= -1e-12, min_margin=worst))
 
     fits_ok = True
     for expo, slope in ((0.5, 1.0), (1.0, 3.0), (2.0 / 3.0, 1.0)):
@@ -122,8 +119,9 @@ def suite_modulus(seed: int = 42, tol: float = 1e-12) -> list:
     return checks
 
 
-def suite_barrier(seed: int = 42, tol: float = 1e-8) -> list:
+def suite_barrier(seed: int = 42) -> list:
     checks = []
+    tol = 1e-8  # sandwich gate
     dom = geometry.Domain.ball(2, 1.0)
 
     data_c = barrier.boundary_const(dom, 2.5)
@@ -173,7 +171,7 @@ def suite_barrier(seed: int = 42, tol: float = 1e-8) -> list:
     return checks
 
 
-def suite_radial(seed: int = 42, tol: float = 1e-8) -> list:
+def suite_radial(seed: int = 42) -> list:
     checks = []
 
     worst = 0.0
@@ -186,7 +184,7 @@ def suite_radial(seed: int = 42, tol: float = 1e-8) -> list:
             closed = c * (sol.r ** (2.0 - alpha / m) - 1.0)
             denom = np.maximum(np.abs(closed), 1e-12)
             worst = max(worst, float(np.max(np.abs(sol.u - closed) / denom)))
-    checks.append(_check("power_closed_form", worst <= tol, max_rel_err=worst))
+    checks.append(_check("power_closed_form", worst <= 1e-8, max_rel_err=worst))
 
     pr = radial.RadialProblem(2, 2, radial.ConstDensity(1.0), convention="form")
     sol = radial.radial_solve(pr, grid=np.geomspace(1e-3, 1.0, 400), tol=1e-10)
@@ -236,18 +234,20 @@ def suite_radial(seed: int = 42, tol: float = 1e-8) -> list:
     return checks
 
 
+SUITES = {
+    "core": suite_core,
+    "modulus": suite_modulus,
+    "barrier": suite_barrier,
+    "radial": suite_radial,
+}
+
+
 def run_suites(names, seed: int = 42) -> dict:
-    runners = {
-        "core": suite_core,
-        "modulus": suite_modulus,
-        "barrier": suite_barrier,
-        "radial": suite_radial,
-    }
     report = {"seed": seed, "suites": {}, "all_passed": True}
     for name in names:
-        if name not in runners:
+        if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-        checks = runners[name](seed=seed)
+        checks = SUITES[name](seed=seed)
         ok = all(c["pass"] for c in checks)
         report["suites"][name] = {"checks": checks, "passed": ok}
         report["all_passed"] = report["all_passed"] and ok

@@ -143,7 +143,7 @@ def test_criterion_04_log_example_divergent_leg():
 
 def test_criterion_04_log_example_unbounded_companion():
     # same gamma in a configuration where the density is admissible
-    rep = radial.log_example_check(0.6, 2, 1, k_max=8)
+    rep = radial.log_example_check(0.6, 2, 1)
     increasing = bool(np.all(np.diff(rep.k_values) > 0))
     ok = rep.verdict == "unbounded" and increasing and rep.bound_ok
     report(4, ok, f"gamma=0.6 (2,1): verdict {rep.verdict}, increasing {increasing}, "

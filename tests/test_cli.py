@@ -1,5 +1,9 @@
+import argparse
+import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -202,3 +206,111 @@ class TestDeterminism:
         assert code == 0
         report = json_part(out)["result"]
         assert report["all_passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# The flag contract: each subcommand takes exactly the flags its command reads
+
+SHARED_DESTS = {"help", "output_dir", "config"}
+FLAG_VALUES = {"--seed": "1", "--tol": "0.1", "--format": "csv"}
+TAKES = {
+    "cone": {"--tol"},
+    "garding": {"--seed", "--tol"},
+    "modulus": {"--seed", "--format"},
+    "barrier": {"--seed"},
+    "radial": {"--tol", "--format"},
+    "gamma": set(),
+    "verify": {"--seed"},
+}
+REQUIRED = {  # cheap runs of each subcommand
+    "cone": ["--lambda", "1,2", "--m", "1"],
+    "garding": ["--n", "2", "--m", "1", "--samples", "2"],
+    "modulus": ["--input", "{points}", "--bins", "5"],
+    "barrier": ["--n", "2", "--m", "2", "--xi-samples", "2", "--grid", "40", "--bins", "5"],
+    "radial": ["--n", "2", "--m", "1", "--grid", "20"],
+    "gamma": ["--n", "2", "--m", "1", "--p", "3"],
+    "verify": ["--suite", "modulus"],
+}
+
+
+def subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def with_files(argv, tmp_path):
+    """argv with {name} placeholders replaced by paths of small input files."""
+    texts = {
+        "points": "x1,v\n0.0,0.0\n0.5,0.25\n1.0,1.0\n",
+        "non_numeric": "x1,v\n0.0,abc\n1.0,1.0\n",
+        "ragged": "x1,v\n0.0,0.0\n1.0\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    return [re.sub(r"\{(\w+)\}", lambda m: str(tmp_path / f"{m.group(1)}.csv"), a) for a in argv]
+
+
+def test_subcommands_cover_the_table():
+    assert set(subparsers()) == set(TAKES)
+
+
+@pytest.mark.parametrize("name", sorted(TAKES))
+def test_every_flag_is_read_by_its_command(name):
+    p = subparsers()[name]
+    dests = {a.dest for a in p._actions} - SHARED_DESTS
+    reads = set(re.findall(r"\bargs\.(\w+)", inspect.getsource(p.get_default("func"))))
+    assert dests == reads
+    assert {f for f in FLAG_VALUES if f[2:] in dests} == TAKES[name]
+
+
+@pytest.mark.parametrize(
+    "name, flag", [(n, f) for n in TAKES for f in FLAG_VALUES if f not in TAKES[n]]
+)
+def test_flag_a_command_does_not_read_exits_2(capsys, tmp_path, name, flag):
+    argv = with_files([name, *REQUIRED[name], flag, FLAG_VALUES[flag]], tmp_path)
+    code, out = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("name", sorted(TAKES))
+def test_report_echoes_seed_and_tol_where_taken(capsys, tmp_path, name):
+    code, out = run_cli(capsys, with_files([name, *REQUIRED[name]], tmp_path))
+    assert code == 0
+    payload = json_part(out)
+    echoed = {f"--{key}" for key in ("seed", "tol") if key in payload}
+    assert echoed == TAKES[name] - {"--format"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--lambda", "1,x", "--m", "1"],
+    ["barrier", "--n", "2", "--m", "2", "--f", "const:abc"],
+    ["barrier", "--n", "2", "--m", "2", "--phi", "const:abc"],
+    ["barrier", "--n", "2", "--m", "2", "--domain", "ball:q"],
+    ["barrier", "--n", "2", "--m", "2", "--domain", "ellipsoid:1,q"],
+    ["radial", "--n", "2", "--m", "1", "--density", "power:zz"],
+    ["modulus", "--input", "{missing}"],
+    ["modulus", "--input", "{non_numeric}"],
+    ["modulus", "--input", "{ragged}"],
+    ["radial", "--n", "2", "--m", "1", "--grid", "-3"],
+    ["barrier", "--n", "2", "--m", "2", "--xi-samples", "2", "--grid", "40", "--bins", "-3"],
+    ["garding", "--n", "2", "--m", "1", "--samples", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_malformed_input_exits_2(capsys, tmp_path, argv):
+    code, out = run_cli(capsys, with_files(argv, tmp_path))
+    assert code == 2 and out == ""
+
+
+def test_readme_command_line_examples_parse():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    examples = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("hessiankit ")]
+    assert len(examples) >= len(TAKES)
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
