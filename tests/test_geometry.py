@@ -27,6 +27,22 @@ class TestDomain:
         assert Domain.ball(2, 1.5).diameter == 3.0
         assert Domain.ellipsoid([1.0, 4.0]).diameter == 2.0
 
+    def test_gradient_matches_finite_differences(self):
+        # rho = sum a_j |z_j|^2 - c, so d rho/dx_j + i d rho/dy_j = 2 a_j z_j
+        for dom in (Domain.ball(2, 1.0), Domain.ellipsoid([1.0, 4.0, 2.0])):
+            a = np.ones(dom.n) if dom.kind == "ball" else np.asarray(dom.coeffs)
+            pts = geometry.sample_interior(dom, 100, seed=2)
+            h = 1e-6
+            for z in pts[:100]:
+                g = 2.0 * a * z
+                for j in range(dom.n):
+                    ex = np.zeros(dom.n, dtype=complex)
+                    ex[j] = h
+                    dx = (dom.rho(z + ex) - dom.rho(z - ex)) / (2 * h)
+                    dy = (dom.rho(z + 1j * ex) - dom.rho(z - 1j * ex)) / (2 * h)
+                    assert dx == pytest.approx(g[j].real, rel=1e-6, abs=1e-6)
+                    assert dy == pytest.approx(g[j].imag, rel=1e-6, abs=1e-6)
+
     def test_hessian_matches_finite_differences(self):
         from hessiankit import barrier, core
 
