@@ -168,6 +168,8 @@ def cmd_radial(args) -> int:
         "B_used": sol.B_used,
         "quadrature_tol": tol,
         "achieved_error": sol.achieved_error,
+        "panels_bisected": sol.panels_bisected,
+        "worst_panel_error": sol.worst_panel_error,
         "U_first": float(sol.u[0]),
         "r_first": float(sol.r[0]),
         "hessian_residual": residual,

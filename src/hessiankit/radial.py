@@ -21,6 +21,7 @@ Two normalizations of B are implemented:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,13 @@ from .errors import ArgumentError, DomainError, QuadratureError, spec_number
 from .modulus import HolderFit, ModulusCurve, holder_fit
 
 DEFAULT_TOL = 1e-10
+LAGUERRE_NODES = 80  # Gauss-Laguerre nodes of the log density's inner integral
+
+
+@functools.cache
+def _laguerre_rule():
+    # built on first use: laggauss costs milliseconds that import should not pay
+    return np.polynomial.laguerre.laggauss(LAGUERRE_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +58,8 @@ class ConstDensity:
     def __call__(self, rho):
         return np.full_like(np.asarray(rho, dtype=float), self.c0)
 
-    def inner_integral(self, t: float, n: int) -> float:
-        return self.c0 * t ** (2 * n) / (2 * n)
+    def inner_integral(self, t, n: int) -> np.ndarray:
+        return self.c0 * np.asarray(t, dtype=float) ** (2 * n) / (2 * n)
 
     def describe(self) -> str:
         return f"const:{self.c0!r}"
@@ -70,11 +78,9 @@ class PowerDensity:
     def __call__(self, rho):
         return np.asarray(rho, dtype=float) ** (-self.alpha)
 
-    def inner_integral(self, t: float, n: int) -> float:
+    def inner_integral(self, t, n: int) -> np.ndarray:
         # integrand rho^(2n - 1 - alpha); integrable at 0 iff alpha < 2n
-        if t == 0.0:
-            return 0.0
-        return t ** (2 * n - self.alpha) / (2 * n - self.alpha)
+        return np.asarray(t, dtype=float) ** (2 * n - self.alpha) / (2 * n - self.alpha)
 
     def describe(self) -> str:
         return f"power:{self.alpha!r}"
@@ -93,26 +99,25 @@ class LogDensity:
         r = np.asarray(rho, dtype=float)
         return r ** (-2 * self.m) * (1.0 - np.log(r)) ** (-self.gamma)
 
-    def inner_integral(self, t: float, n: int) -> float:
+    def inner_integral(self, t, n: int) -> np.ndarray:
         # integrand rho^(2(n-m)-1) (1 - log rho)^(-gamma); substituting
         # s = 1 - log rho turns it into int_x^inf e^(2k(1-s)) s^(-gamma) ds
-        # with k = n - m and x = 1 - log t.
-        if t == 0.0:
-            return 0.0
+        # with k = n - m and x = 1 - log t (x = inf, value 0, at t = 0).
         k = n - self.m
-        x = 1.0 - math.log(t)
+        if k == 0 and self.gamma <= 1.0:
+            raise DomainError("inner integral diverges: with n == m it needs gamma > 1")
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            x = 1.0 - np.log(t)
         if k == 0:
-            if self.gamma <= 1.0:
-                raise DomainError(
-                    "inner integral diverges: with n == m it needs gamma > 1"
-                )
             return x ** (1.0 - self.gamma) / (self.gamma - 1.0)
-        from scipy import integrate  # imported on first use: it dominates import time
-
-        return integrate.quad(
-            lambda s: math.exp(2 * k * (1.0 - s)) * s ** (-self.gamma),
-            x, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200,
-        )[0]
+        # s = x + v/(2k) gives e^(2k(1-x))/(2k) int_0^inf e^(-v) (x + v/(2k))^(-gamma) dv,
+        # and e^(2k(1-x)) = t^(2k).  The v-integrand is smooth on v >= 0 (its
+        # singularity sits at v = -2kx <= -2 for t <= 1), so a Gauss-Laguerre
+        # rule of LAGUERRE_NODES nodes meets 1e-13 relative.
+        nodes, weights = _laguerre_rule()
+        tail = (x[..., None] + nodes / (2 * k)) ** (-self.gamma) @ weights
+        return t ** (2 * k) / (2 * k) * tail
 
     def describe(self) -> str:
         return f"log:{self.gamma!r}"
@@ -152,7 +157,14 @@ class TableDensity:
     def _segment_exponent(self, i: int) -> float:
         return float(self.exponents[min(max(i, 0), self.exponents.size - 1)])
 
-    def inner_integral(self, t: float, n: int) -> float:
+    def inner_integral(self, t, n: int) -> np.ndarray:
+        # the cached knot sums are exact scalar arithmetic; each t takes the
+        # scalar path so an array call has the bits of the per-point calls
+        t = np.asarray(t, dtype=float)
+        values = [self._inner_scalar(x, n) for x in t.ravel().tolist()]
+        return np.array(values, dtype=float).reshape(t.shape)
+
+    def _inner_scalar(self, t: float, n: int) -> float:
         if t == 0.0:
             return 0.0
         power = 2 * n - 1
@@ -272,7 +284,9 @@ class RadialSolution:
     r: np.ndarray
     u: np.ndarray
     B_used: float
-    achieved_error: float
+    achieved_error: float  # summed panel error estimates, in units of U
+    panels_bisected: int  # panels the first 21-point pass did not settle
+    worst_panel_error: float  # largest panel error estimate, in units of U
 
     def interp(self, x):
         return np.interp(x, self.r, self.u)
@@ -283,12 +297,81 @@ class RadialSolution:
         return "\n".join(lines) + "\n"
 
 
+# QUADPACK's 21-point Gauss-Kronrod rule (Piessens et al., QUADPACK, 1983,
+# routine qk21): Kronrod abscissae from the end of [-1, 1] to its centre,
+# their weights, and the 10-point Gauss weights of the abscissae _XGK[1::2].
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208693020945, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# the same rule over its 21 ascending nodes; Gauss weight 0 off the Gauss nodes
+_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_KRONROD = np.concatenate((_WGK[:-1], _WGK[::-1]))
+_GAUSS = np.zeros(21)
+_GAUSS[1:10:2] = _WG
+_GAUSS[19:10:-2] = _WG
+_EPS = np.finfo(float).eps
+_UFLOW = np.finfo(float).tiny
+
+BISECTION_LIMIT = 400  # pieces per panel, QUADPACK's ``limit``
+BLOCK_INTERVALS = 128  # intervals whose 21 nodes are evaluated in one call
+
+
+def _qk21(f, a: np.ndarray, b: np.ndarray):
+    """QUADPACK qk21 on every interval [a_i, b_i]: (integrals, error estimates).
+
+    ``f`` maps an array of points to their integrand values.  It is called
+    on ``(intervals, 21)`` blocks of at most ``BLOCK_INTERVALS`` rows, and
+    each block is reduced before the next is evaluated, which bounds the
+    working memory of long grids and of integrands that expand each point
+    (the log density's Laguerre sum).
+    """
+    values = np.empty(a.size)
+    errors = np.empty(a.size)
+    for s in range(0, a.size, BLOCK_INTERVALS):
+        block = slice(s, s + BLOCK_INTERVALS)
+        centre = 0.5 * (a[block] + b[block])
+        half = 0.5 * (b[block] - a[block])
+        fx = f(centre[:, None] + half[:, None] * _NODES)
+        resk = fx @ _KRONROD
+        resabs = np.abs(fx) @ _KRONROD * np.abs(half)
+        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _KRONROD * np.abs(half)
+        err = np.abs((resk - fx @ _GAUSS) * half)
+        scale = (resasc != 0.0) & (err != 0.0)
+        err[scale] = resasc[scale] * np.minimum(1.0, (200.0 * err[scale] / resasc[scale]) ** 1.5)
+        floor = resabs > _UFLOW / (50.0 * _EPS)
+        err[floor] = np.maximum(50.0 * _EPS * resabs[floor], err[floor])
+        values[block], errors[block] = resk * half, err
+    return values, errors
+
+
 def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> RadialSolution:
     """Evaluate the profile on a grid by panel-wise adaptive quadrature.
 
     ``grid`` is either a point count (uniform grid on [0, 1]) or an
     ascending array of radii in [0, 1]; the right endpoint 1 is always
-    included and carries U(1) = 0 exactly.  Raises
+    included and carries U(1) = 0 exactly.  Every panel between adjacent
+    radii gets QUADPACK's 21-point Gauss-Kronrod rule, all panels in one
+    batch; a panel whose error estimate exceeds ``max(tol / panels,
+    1e-12 |value|)`` is bisected at its largest-error piece, all failing
+    panels at once, up to ``BISECTION_LIMIT`` pieces.  Raises
     :class:`QuadratureError` when the summed panel error estimates exceed
     ``tol`` and :class:`DomainError` when the inner integral diverges.
     """
@@ -304,32 +387,46 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
         if r[-1] < 1.0:
             r = np.append(r, 1.0)
 
-    from scipy import integrate  # imported on first use: it dominates import time
-
     density = problem.density
     outer_exp = 1.0 - 2.0 * n / m
 
-    def integrand(t: float) -> float:
-        inner = density.inner_integral(t, n)
-        if inner < 0.0:
-            inner = 0.0
+    def integrand(t: np.ndarray) -> np.ndarray:
+        inner = np.maximum(density.inner_integral(t, n), 0.0)
         return t**outer_exp * inner ** (1.0 / m)
 
     npanels = r.size - 1
     panel_tol = max(tol / max(npanels, 1), 1e-15)
+
+    def settled(value, error):
+        # non-finite panels are not refined: the profile check below rejects them
+        return (error <= np.maximum(panel_tol, 1e-12 * np.abs(value))) | ~np.isfinite(value)
+
+    val, err = _qk21(integrand, r[:-1], r[1:])
+    failing = np.flatnonzero(~settled(val, err))
+    panels_bisected = failing.size
+    # pieces of the failing panels, one row per panel; every row gains one
+    # piece per round, so all rows have the same length
+    lo, hi = r[failing, None], r[failing + 1, None]
+    pval, perr = val[failing, None], err[failing, None]
+    while failing.size and pval.shape[1] < BISECTION_LIMIT:
+        rows = np.arange(failing.size)
+        worst = np.argmax(perr, axis=1)
+        a, b = lo[rows, worst], hi[rows, worst]
+        mid = 0.5 * (a + b)
+        v, e = _qk21(integrand, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        hi[rows, worst] = mid
+        pval[rows, worst], perr[rows, worst] = v[: rows.size], e[: rows.size]
+        lo, hi = np.column_stack((lo, mid)), np.column_stack((hi, b))
+        pval, perr = np.column_stack((pval, v[rows.size :])), np.column_stack((perr, e[rows.size :]))
+        val[failing], err[failing] = pval.sum(axis=1), perr.sum(axis=1)
+        keep = ~settled(val[failing], err[failing])
+        failing, lo, hi, pval, perr = failing[keep], lo[keep], hi[keep], pval[keep], perr[keep]
+
     u = np.zeros(r.size)
-    total_err = 0.0
-    acc = 0.0
-    for i in range(npanels - 1, -1, -1):
-        a, b = r[i], r[i + 1]
-        val, err = integrate.quad(
-            integrand, a, b, epsabs=panel_tol, epsrel=1e-12, limit=400
-        )
-        total_err += err
-        acc += val
-        u[i] = -problem.B * acc
+    u[:-1] = -problem.B * np.cumsum(val[::-1])[::-1]  # running sums from r = 1 inward
     if not np.all(np.isfinite(u)):
         raise DomainError("radial profile is not finite; density too singular")
+    total_err = float(np.sum(err))
     if total_err * problem.B > tol * max(1.0, float(np.max(np.abs(u)))):
         raise QuadratureError(
             f"requested tol {tol} not met (achieved {total_err * problem.B})",
@@ -340,6 +437,8 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
         u=u,
         B_used=problem.B,
         achieved_error=total_err * problem.B,
+        panels_bisected=panels_bisected,
+        worst_panel_error=float(err.max(initial=0.0)) * problem.B,
     )
 
 
@@ -469,19 +568,20 @@ class LogExampleReport:
 def _fit_growth_exponent(k_values: np.ndarray) -> float:
     """Fit e in |U(10^-k)| ~ A + B s_k^e with s_k = 1 + k log 10.
 
-    The basis degenerates to A + B log s at e = 0; a grid scan with a
-    two-column least squares per candidate is robust and deterministic.
+    The basis degenerates to A + B log s at e = 0, so the column is log s
+    there.  Every candidate on a fixed grid is scored at once by its
+    two-column least-squares residual: with the intercept, that is the
+    residual of the centred values against the centred column.  The first
+    candidate with the least residual wins.
     """
     s = 1.0 + np.arange(1, k_values.size + 1) * math.log(10.0)
-    best_e, best_res = 0.0, math.inf
-    for e in np.linspace(-3.0, 3.0, 601):
-        col = np.log(s) if abs(e) < 5e-3 else s**e
-        basis = np.column_stack([np.ones_like(s), col])
-        _, res, _, _ = np.linalg.lstsq(basis, k_values, rcond=None)
-        r = float(res[0]) if res.size else 0.0
-        if r < best_res:
-            best_res, best_e = r, float(e)
-    return best_e
+    e = np.linspace(-3.0, 3.0, 601)
+    cols = np.where(np.abs(e[:, None]) < 5e-3, np.log(s), s ** e[:, None])  # (candidates, k)
+    cols -= cols.mean(axis=1, keepdims=True)
+    y = k_values - k_values.mean()
+    slope = (cols @ y) / np.sum(cols * cols, axis=1)
+    residual = np.sum((y - slope[:, None] * cols) ** 2, axis=1)
+    return float(e[np.argmin(residual)])
 
 
 LOG_K_MAX = 8  # the log example reads |U(10^-k)| for k = 1..LOG_K_MAX

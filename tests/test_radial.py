@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate  # test-only oracle: the package itself does not use scipy
 
 from hessiankit import radial
 from hessiankit.errors import ArgumentError, DomainError
@@ -39,6 +41,63 @@ def reference_table_integral(table, t, n):
     pl = table._segment_exponent(table.rho.size - 2)
     total += radial._power_primitive(table.values[-1], table.rho[-1], pl, table.rho[-1], t, power)
     return total
+
+
+def reference_log_inner_integral(density, t, n):
+    """The nested scalar quad LogDensity.inner_integral replaced (n > m)."""
+    if t == 0.0:
+        return 0.0
+    k = n - density.m
+    x = 1.0 - math.log(t)
+    return integrate.quad(
+        lambda s: math.exp(2 * k * (1.0 - s)) * s ** (-density.gamma),
+        x, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200,
+    )[0]
+
+
+def reference_radial_solve(problem, grid, tol):
+    """The per-panel scalar quad loop radial_solve replaced, with the
+    nested-quad inner integral for the log density with n > m."""
+    n, m = problem.n, problem.m
+    if isinstance(grid, int):
+        r = np.linspace(0.0, 1.0, grid + 1)
+    else:
+        r = np.unique(np.asarray(grid, dtype=float))
+        if r[-1] < 1.0:
+            r = np.append(r, 1.0)
+    density = problem.density
+    outer_exp = 1.0 - 2.0 * n / m
+
+    def integrand(t):
+        if isinstance(density, LogDensity) and n > density.m:
+            inner = reference_log_inner_integral(density, t, n)
+        else:
+            inner = float(density.inner_integral(t, n))
+        return t**outer_exp * max(inner, 0.0) ** (1.0 / m)
+
+    npanels = r.size - 1
+    panel_tol = max(tol / max(npanels, 1), 1e-15)
+    u = np.zeros(r.size)
+    acc = 0.0
+    for i in range(npanels - 1, -1, -1):
+        val, _ = integrate.quad(integrand, r[i], r[i + 1], epsabs=panel_tol, epsrel=1e-12, limit=400)
+        acc += val
+        u[i] = -problem.B * acc
+    return r, u
+
+
+def reference_fit_growth_exponent(k_values):
+    """The per-candidate lstsq loop radial._fit_growth_exponent replaced."""
+    s = 1.0 + np.arange(1, k_values.size + 1) * math.log(10.0)
+    best_e, best_res = 0.0, math.inf
+    for e in np.linspace(-3.0, 3.0, 601):
+        col = np.log(s) if abs(e) < 5e-3 else s**e
+        basis = np.column_stack([np.ones_like(s), col])
+        _, res, _, _ = np.linalg.lstsq(basis, k_values, rcond=None)
+        r = float(res[0]) if res.size else 0.0
+        if r < best_res:
+            best_res, best_e = r, float(e)
+    return best_e
 
 
 def reference_radial_modulus(solution, t_knots):
@@ -126,6 +185,69 @@ class TestRadialSolve:
         with pytest.raises(QuadratureError) as err:
             radial.radial_solve(problem, grid=grid, tol=1e-14)
         assert err.value.achieved is not None and err.value.achieved > 1e-14
+
+
+def _kinked_table():
+    # random log-linear segments: kinks at the knots inside the panels
+    knots = np.geomspace(1e-4, 1.0, 40)
+    return TableDensity(knots, np.exp(np.random.default_rng(8).uniform(-1.0, 1.0, 40)))
+
+
+SINGULAR_GRID = np.concatenate(([0.0], np.geomspace(1e-7, 1.0, 300)))
+
+
+class TestAgainstScalarQuadLoop:
+    @pytest.mark.parametrize("n, m, density, convention, grid, tol", [
+        (2, 1, ConstDensity(1.0), "paper", 64, 1e-10),
+        (3, 2, ConstDensity(4.0), "form", np.geomspace(1e-3, 1.0, 200), 1e-10),
+        (3, 2, PowerDensity(1.5), "paper", np.geomspace(0.01, 1.0, 100), 1e-12),
+        # alpha/m = 1.5: the first panel [0, 1e-7] carries t^(-1/2)
+        (2, 2, PowerDensity(3.0), "form", SINGULAR_GRID, 1e-10),
+        (3, 2, PowerDensity(3.0), "form", SINGULAR_GRID, 1e-10),
+        (2, 2, _kinked_table(), "form", np.geomspace(1e-2, 1.0, 50), 1e-10),
+        (2, 2, _kinked_table(), "form", np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 50))), 1e-10),
+        (2, 2, LogDensity(4.0, 2), "form", np.geomspace(1e-3, 1.0, 300), 1e-9),
+    ])
+    def test_closed_form_inner_integrals_to_1e_12(self, n, m, density, convention, grid, tol):
+        problem = RadialProblem(n, m, density, convention=convention)
+        sol = radial.radial_solve(problem, grid=grid, tol=tol)
+        r, u = reference_radial_solve(problem, grid, tol)
+        assert np.array_equal(sol.r, r)
+        assert sol.u[-1] == 0.0
+        assert np.all(np.abs(sol.u - u) <= 1e-12 * np.abs(u))
+
+    @pytest.mark.parametrize("n, m, gamma, r_min", [(3, 2, 1.0, 1e-3), (3, 1, 0.8, 1e-3), (4, 2, 2.5, 1e-8)])
+    def test_log_profile_to_1e_6(self, n, m, gamma, r_min):
+        # the reference's nested quad is the weaker side here: its absolute
+        # floor 1e-14 swamps the tiny inner integrals near the origin
+        problem = RadialProblem(n, m, LogDensity(gamma, m))
+        grid = np.geomspace(r_min, 1.0, 300)
+        sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
+        _, u = reference_radial_solve(problem, grid, 1e-9)
+        assert sol.u[-1] == 0.0
+        assert np.all(np.abs(sol.u - u) <= 1e-6 * np.abs(u))
+
+    def test_only_failing_panels_are_bisected(self):
+        problem = RadialProblem(2, 2, PowerDensity(3.0))
+        sol = radial.radial_solve(problem, grid=SINGULAR_GRID, tol=1e-10)
+        assert sol.panels_bisected == 1
+        assert 0.0 < sol.worst_panel_error <= sol.achieved_error <= 1e-10
+        smooth = radial.radial_solve(problem, grid=SINGULAR_GRID[1:], tol=1e-10)
+        assert smooth.panels_bisected == 0
+
+    def test_log_solve_memory_is_blocked(self):
+        # 10^5 panels have 2.1e6 Kronrod nodes; one (nodes, 80) Laguerre
+        # array would take 1.3 GB and the node array alone 17 MB
+        problem = RadialProblem(3, 2, LogDensity(1.5, 2))
+        grid = np.linspace(1e-8, 1.0, 100_001)
+        tracemalloc.start()
+        try:
+            sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.u.size == grid.size and sol.u[-1] == 0.0
+        assert peak <= 16e6
 
 
 class TestTableDensity:
@@ -259,6 +381,18 @@ class TestLogDensityInternals:
                 mine = den.inner_integral(t, n)
                 assert mine == pytest.approx(oracle, rel=1e-7, abs=1e-18)
 
+    @pytest.mark.parametrize("n, m, gamma", [(3, 2, 1.5), (3, 1, 0.8), (4, 2, 2.5), (2, 1, 0.6), (6, 1, 0.3)])
+    def test_inner_integral_against_incomplete_gamma(self, n, m, gamma):
+        # int_x^inf e^(2k(1-s)) s^(-gamma) ds = e^(2k) (2k)^(gamma-1) Gamma(1-gamma, 2kx)
+        k = n - m
+        ts = np.concatenate((np.geomspace(1e-12, 1.0, 60), [0.37, 0.999]))
+        mine = LogDensity(gamma, m).inner_integral(ts, n)
+        with mpmath.workdps(40):
+            for t, value in zip(ts, mine):
+                x = 1 - mpmath.log(mpmath.mpf(float(t)))
+                exact = mpmath.e ** (2 * k) * mpmath.mpf(2 * k) ** (gamma - 1) * mpmath.gammainc(1 - gamma, 2 * k * x)
+                assert abs(value - exact) <= 1e-12 * exact
+
     def test_profile_validated_by_hessian_residual(self):
         # independent check of both inner-integral routes (closed form for
         # n = m, substituted quadrature for n > m)
@@ -297,6 +431,15 @@ class TestLogExample:
         rep = radial.log_example_check(1.0, 3, 2)
         assert rep.theoretical_exponent == pytest.approx(0.5)
         assert abs(rep.growth_exponent - 0.5) <= 0.1
+
+
+    @pytest.mark.parametrize("gamma, n, m", [
+        (2.0, 3, 2), (1.0, 3, 2), (4.0, 3, 2),  # the cases above
+        (2.5, 2, 2), (0.6, 2, 1), (4.0, 2, 2),  # the criterion-4 legs
+    ])
+    def test_growth_fit_matches_lstsq_loop(self, gamma, n, m):
+        rep = radial.log_example_check(gamma, n, m)
+        assert rep.growth_exponent == reference_fit_growth_exponent(rep.k_values)
 
 
 class TestGammaExponent:
