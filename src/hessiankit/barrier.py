@@ -42,7 +42,6 @@ from . import core
 from .errors import ArgumentError, DomainError, spec_number
 from .geometry import Domain, sample_boundary, sample_interior
 from .modulus import (
-    PAIR_BLOCK,
     HolderFit,
     ModulusCurve,
     concave_majorant,
@@ -321,9 +320,9 @@ def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> 
 # ---------------------------------------------------------------------------
 # Evaluators
 
-# points x barriers per evaluation block: the pairs in one draw of
-# estimate_modulus on its subsampled path
-BLOCK_ELEMENTS = PAIR_BLOCK
+# points x barriers per evaluation block, cache-sized: each (points, K)
+# float temporary takes 1 MiB
+BLOCK_ELEMENTS = 2**17
 
 
 class BarrierEnvelope:
@@ -354,9 +353,13 @@ class BarrierEnvelope:
         ``near`` is the (points, K) matrix of near-field branches, -inf
         outside B(xi, r1); ``far`` is the max of the K copies of the far
         branch gamma2 + K1 |z - z0|^2 - K2, which differ only by rounding.
+        The near branch is evaluated only at the (point, barrier) pairs
+        inside B(xi, r1), with the same operations per pair as on the
+        whole matrix.
         """
         p = self.barriers
         bar = self.omega_bar
+        r1_sq = p.r1 * p.r1
         step = max(1, BLOCK_ELEMENTS // len(p))
         for a in range(0, z.shape[0], step):
             rows = slice(a, a + step)
@@ -365,10 +368,12 @@ class BarrierEnvelope:
             s = sum(np.abs(zb[:, j, None] - p.xi[:, j]) ** 2 for j in range(zb.shape[1]))
             rho = self.domain.rho(zb)
             rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
-            neg_g = np.maximum(s - (p.B * rho)[:, None], 0.0)
-            chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
             quad = (p.K1 * (np.abs(zb - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
-            near = np.where(s < p.r1 * p.r1, p.gamma1 * chi + self.phi_xi, -np.inf) + quad
+            i, k = np.nonzero(s < r1_sq)
+            neg_g = np.maximum(s[i, k] - (p.B * rho)[i], 0.0)
+            chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
+            near = np.full(s.shape, -np.inf)
+            near[i, k] = (p.gamma1[k] * chi + self.phi_xi[k]) + quad[i, k]
             yield rows, (p.gamma2 + quad).max(axis=1), near
 
     def __call__(self, z):

@@ -18,8 +18,7 @@ from .errors import ArgumentError, ExtrapolationError
 
 PAIR_SUBSAMPLE_THRESHOLD = 20000
 PAIR_BUDGET = 20_000_000
-# pairs per random draw on the subsampled path, which fixes the rng stream;
-# barrier.BLOCK_ELEMENTS reuses it as its evaluation block
+# pairs per random draw on the subsampled path, which fixes the rng stream
 PAIR_BLOCK = 2_000_000
 # pairs per filter slice; the curve's lower bound is refreshed after each
 FILTER_SLICE = 2**16
@@ -260,13 +259,14 @@ def concave_majorant(curve: ModulusCurve) -> ModulusCurve:
     Monotone-chain scan over the knots in increasing t; a knot is dropped
     exactly when it lies strictly below the chord of its hull neighbours, so
     concave inputs (including collinear runs) come back unchanged and the
-    operation is idempotent.
+    operation is idempotent.  The scan runs on Python floats, whose
+    arithmetic is the same IEEE double arithmetic as numpy's scalars.
     """
-    t = curve.t
-    w = curve.w
+    t = curve.t.tolist()
+    w = curve.w.tolist()
     hull_t = [t[0]]
     hull_w = [w[0]]
-    for i in range(1, t.size):
+    for i in range(1, len(t)):
         while len(hull_t) >= 2:
             cross = (hull_t[-1] - hull_t[-2]) * (w[i] - hull_w[-2]) - (
                 hull_w[-1] - hull_w[-2]

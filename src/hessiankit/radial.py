@@ -119,6 +119,15 @@ class LogDensity:
         tail = (x[..., None] + nodes / (2 * k)) ** (-self.gamma) @ weights
         return t ** (2 * k) / (2 * k) * tail
 
+    def profile_unbounded(self, n: int) -> bool:
+        """Whether the radial profile in C^n diverges at r = 0.
+
+        For n > m it grows like (1 - log r)^(1 - gamma/m), unbounded
+        exactly when gamma <= m; for n = m the inner integral adds a factor
+        s^(1/m), so it is unbounded for gamma <= m + 1.
+        """
+        return self.gamma <= (self.m + 1.0 if n == self.m else float(self.m))
+
     def describe(self) -> str:
         return f"log:{self.gamma!r}"
 
@@ -373,7 +382,9 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
     1e-12 |value|)`` is bisected at its largest-error piece, all failing
     panels at once, up to ``BISECTION_LIMIT`` pieces.  Raises
     :class:`QuadratureError` when the summed panel error estimates exceed
-    ``tol`` and :class:`DomainError` when the inner integral diverges.
+    ``tol`` and :class:`DomainError` when the inner integral diverges or,
+    before any quadrature, when the grid holds r = 0 and a log density's
+    profile is unbounded there.
     """
     n, m = problem.n, problem.m
     if isinstance(grid, (int, np.integer)):
@@ -388,6 +399,8 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
             r = np.append(r, 1.0)
 
     density = problem.density
+    if r[0] == 0.0 and isinstance(density, LogDensity) and density.profile_unbounded(n):
+        raise DomainError("radial profile is unbounded at r = 0; start the grid above 0")
     outer_exp = 1.0 - 2.0 * n / m
 
     def integrand(t: np.ndarray) -> np.ndarray:
@@ -639,7 +652,7 @@ def log_example_check(gamma: float, n: int, m: int) -> LogExampleReport:
     increasing = bool(np.all(np.diff(k_values) > 0))
     growth = _fit_growth_exponent(k_values)
     verdict = "unbounded" if (increasing and growth > -0.05) else "bounded"
-    expected_unbounded = gamma <= (m + 1.0 if n == m else float(m))
+    expected_unbounded = problem.density.profile_unbounded(n)
 
     mask = (sol.r >= lo) & (sol.r <= hi)
     rw = sol.r[mask]

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,91 @@ class TestBatchedEnvelope:
         assert np.array_equal(branch, ids)
         assert np.array_equal(gap, top - second)
         assert np.array_equal(value, top)
+
+
+def dense_branches(env, z):
+    """(far, near) of env on all points at once, with the near-field formula
+    evaluated on the whole (points, K) matrix and masked to B(xi, r1) by
+    np.where: the dense form the blocked live-pair kernel replaces."""
+    p = env.barriers
+    bar = env.omega_bar
+    s = sum(np.abs(z[:, j, None] - p.xi[:, j]) ** 2 for j in range(z.shape[1]))
+    rho = env.domain.rho(z)
+    rho = np.where(np.abs(rho) < barrier.RHO_SNAP, 0.0, rho)
+    neg_g = np.maximum(s - (p.B * rho)[:, None], 0.0)
+    chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
+    quad = (p.K1 * (np.abs(z - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
+    near = np.where(s < p.r1 * p.r1, p.gamma1 * chi + env.phi_xi, -np.inf) + quad
+    return (p.gamma2 + quad).max(axis=1), near
+
+
+def assert_matches_dense(env, pts):
+    far, near = dense_branches(env, pts)
+    assert np.array_equal(env(pts), np.maximum(far, near.max(axis=1)))
+    vals = np.concatenate([far[:, None], near], axis=1)
+    ranked = np.partition(vals, -2, axis=1)
+    branch, gap, value = env.branch_info(pts)
+    assert np.array_equal(branch, np.argmax(vals, axis=1))
+    assert np.array_equal(gap, ranked[:, -1] - ranked[:, -2])
+    assert np.array_equal(value, ranked[:, -1])
+
+
+class TestLiveBranches:
+    """Near branches evaluated only inside B(xi, r1), block by block, against
+    the dense formula."""
+
+    @pytest.mark.parametrize("spec, f_sup", [("psi_sqrt", 0.0), ("re_z1", 1.0)])
+    def test_matches_dense_over_several_blocks(self, spec, f_sup):
+        data = barrier.make_boundary_data(spec, BALL)
+        density = ones_density if f_sup > 0 else None
+        env = barrier.build_subsolution(data, density, BALL, m=2, xi_count=150, seed=21, f_sup=f_sup)
+        assert env.barriers.K1 == math.sqrt(f_sup)  # K1 > 0 makes the quadratic shift nonzero
+        pts = np.concatenate([
+            barrier.verification_grid(BALL, 3000, seed=22, anchors=data.anchors),
+            geometry.sample_boundary(BALL, 200, seed=23),
+            env.xis,
+        ])
+        rows = barrier.BLOCK_ELEMENTS // len(env.barriers)
+        assert pts.shape[0] > 3 * rows and pts.shape[0] % rows != 0
+        assert_matches_dense(env, pts)
+
+    def test_blocks_with_no_and_all_pairs_inside(self):
+        # barriers clustered within 0.4 of a pole, all with r1 = 1: points
+        # within 0.45 of the pole are inside every B(xi, r1), points within
+        # 0.5 of the antipode inside none
+        data = barrier.boundary_re_z1(BALL)
+        pole = np.array([1.0, 0.0], dtype=complex)
+        cand = geometry.sample_boundary(BALL, 2000, seed=24)
+        xis = cand[np.linalg.norm(cand - pole, axis=1) < 0.4]
+        env = barrier._envelope(xis, [(24, i) for i in range(len(xis))], data, BALL, 2, 1.0)
+        assert np.all(env.barriers.r1 == 1.0)
+        rows = barrier.BLOCK_ELEMENTS // len(xis)
+        pts = np.concatenate([
+            0.75 * pole + 0.2 * geometry.sample_interior(BALL, rows, seed=25),
+            -0.6 * pole + 0.3 * geometry.sample_interior(BALL, rows, seed=26),
+            barrier.verification_grid(BALL, 12, seed=27),
+        ])
+        live = (np.abs(pts[:, None, :] - xis) ** 2).sum(axis=-1) < 1.0
+        assert live[:rows].all() and not live[rows : 2 * rows].any()
+        # a short last block, with fewer live pairs than the majorant has knots
+        assert 0 < live[2 * rows :].sum() < env.omega_bar.t.size
+        assert_matches_dense(env, pts)
+
+    def test_evaluation_memory_is_blocked(self):
+        # one (4000, 500) float matrix takes 16 MB; the dense evaluation
+        # held about nine of them
+        data = barrier.boundary_psi_sqrt(BALL)
+        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=500, seed=42)
+        grid = barrier.verification_grid(BALL, 4000, seed=43, anchors=data.anchors)
+        assert grid.shape[0] * len(env.barriers) == 2_000_000
+        for evaluate in (env, env.branch_info):
+            tracemalloc.start()
+            try:
+                evaluate(grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16e6
 
 
 class TestOtherConfigurations:

@@ -362,6 +362,47 @@ class TestConcaveMajorant:
             hull = modulus.concave_majorant(c)(c.t)
             assert np.array_equal(hull, oracle)
 
+    def test_float_scan_matches_numpy_scalar_scan(self):
+        rng = np.random.default_rng(9)
+        curves = [random_curve(rng, max_knots=60) for _ in range(150)]
+        curves += [collinear_runs_curve(rng) for _ in range(150)]
+        curves += [concave_staircase(rng) for _ in range(20)]
+        for c in curves:
+            hull_t, hull_w = numpy_scalar_majorant(c)
+            maj = modulus.concave_majorant(c)
+            assert np.array_equal(maj.t, hull_t) and np.array_equal(maj.w, hull_w)
+
+
+def numpy_scalar_majorant(curve: ModulusCurve) -> tuple:
+    """The monotone-chain hull scan over numpy scalars, as it ran before the
+    scan moved to Python floats."""
+    t = curve.t
+    w = curve.w
+    hull_t = [t[0]]
+    hull_w = [w[0]]
+    for i in range(1, t.size):
+        while len(hull_t) >= 2:
+            cross = (hull_t[-1] - hull_t[-2]) * (w[i] - hull_w[-2]) - (
+                hull_w[-1] - hull_w[-2]
+            ) * (t[i] - hull_t[-2])
+            if cross > 0.0:
+                hull_t.pop()
+                hull_w.pop()
+            else:
+                break
+        hull_t.append(t[i])
+        hull_w.append(w[i])
+    return np.array(hull_t), np.array(hull_w)
+
+
+def collinear_runs_curve(rng) -> ModulusCurve:
+    """Dyadic steps and slopes held over runs of knots, so every run is
+    exactly collinear and a hull scan meets cross products of exactly 0."""
+    runs = int(rng.integers(2, 12))
+    slopes = np.repeat(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, 2.0], runs), rng.integers(1, 6, runs))
+    dt = rng.choice([0.25, 0.5, 1.0], slopes.size)
+    return ModulusCurve(np.concatenate(([0.0], np.cumsum(dt))), np.concatenate(([0.0], np.cumsum(slopes * dt))))
+
 
 def concave_staircase(rng) -> ModulusCurve:
     """Random subadditive curve: sum of capped ramps a_j min(t / b_j, 1)."""

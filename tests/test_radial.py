@@ -186,6 +186,22 @@ class TestRadialSolve:
             radial.radial_solve(problem, grid=grid, tol=1e-14)
         assert err.value.achieved is not None and err.value.achieved > 1e-14
 
+    def test_unbounded_log_profile_at_origin_is_rejected_up_front(self):
+        from hessiankit.errors import QuadratureError
+
+        grid = np.concatenate(([0.0], np.geomspace(0.05, 1.0, 6)))
+        # gamma <= m for n > m, gamma <= m + 1 for n = m: U(0) = -inf
+        for n, gamma in ((3, 1.5), (3, 2.0), (2, 2.5), (2, 3.0)):
+            with pytest.raises(DomainError, match="unbounded at r = 0"):
+                radial.radial_solve(RadialProblem(n, 2, LogDensity(gamma, 2)), grid=grid, tol=1e-8)
+        # bounded at 0, yet bisection without epsilon extrapolation cannot
+        # settle the log-singular first panel
+        with pytest.raises(QuadratureError):
+            radial.radial_solve(RadialProblem(3, 2, LogDensity(3.0, 2)), grid=grid, tol=1e-8)
+        # off the origin the unbounded profile is finite and solved
+        sol = radial.radial_solve(RadialProblem(3, 2, LogDensity(1.5, 2)), grid=grid[1:], tol=1e-8)
+        assert np.all(np.isfinite(sol.u))
+
 
 def _kinked_table():
     # random log-linear segments: kinks at the knots inside the panels
