@@ -210,8 +210,7 @@ class BarrierParams:
     """Parameters of K point barriers, one row per boundary point xi.
 
     ``r``, ``r1``, ``gamma1``, ``gamma2`` and ``K2`` are (K,) arrays and
-    ``xi`` is (K, n); ``B``, ``K1`` and ``z0`` are shared.  Scalars and a
-    single xi are taken as one row.
+    ``xi`` is (K, n); ``B``, ``K1`` and ``z0`` are shared.
     """
 
     B: float
@@ -223,11 +222,6 @@ class BarrierParams:
     K2: np.ndarray
     xi: np.ndarray
     z0: np.ndarray
-
-    def __post_init__(self):
-        for name in _PER_POINT:
-            setattr(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        self.xi = np.atleast_2d(np.asarray(self.xi, dtype=complex))
 
     def __len__(self):
         return self.xi.shape[0]
@@ -333,19 +327,14 @@ class BarrierEnvelope:
     """
 
     def __init__(self, barriers: BarrierParams, phi_xi, omega_bar: ModulusCurve,
-                 data: BoundaryData, domain: Domain, m: int):
+                 domain: Domain, m: int):
         if len(barriers) < 1:
             raise ArgumentError("envelope needs at least one point barrier")
         self.barriers = barriers
         self.phi_xi = np.asarray(phi_xi, dtype=float)
         self.omega_bar = omega_bar
-        self.data = data
         self.domain = domain
         self.m = m
-
-    @property
-    def xis(self) -> np.ndarray:
-        return self.barriers.xi
 
     def _branches(self, z):
         """Yield (rows, far, near) over point blocks of the (points, n) array z.
@@ -407,8 +396,9 @@ class BarrierEnvelope:
         return branch, gap, top
 
     def boundary_values(self):
-        xis = self.xis
-        return xis, self(xis), np.asarray(self.data.phi(xis), dtype=float)
+        """The boundary points xi, the envelope there and the data phi(xi)."""
+        xis = self.barriers.xi
+        return xis, self(xis), self.phi_xi
 
 
 class NegatedEnvelope:
@@ -425,75 +415,37 @@ class NegatedEnvelope:
 # Builders
 
 
-def _envelope(
-    xis, seeds, data: BoundaryData, domain: Domain, m: int, f_sup: float,
-    b_coeff: float | None = None, omega_bar: ModulusCurve | None = None,
-    params: BarrierParams | None = None,
-) -> BarrierEnvelope:
-    """Envelope of the barriers at the boundary points xis.
+def _envelope(xis, seeds, data: BoundaryData, domain: Domain, m: int,
+              f_sup: float) -> BarrierEnvelope:
+    """Envelope of the barriers at the boundary points xis (K, n).
 
-    Checks the density bound, computes ``b_coeff`` and ``omega_bar`` when
-    they are not given, and derives the barrier parameters unless
-    ``params`` is given.
+    Checks the density bound and derives every barrier parameter; barrier i
+    draws its radius samples from the stream ``(seeds[i], 104729)``, so each
+    row depends only on its own xi and seed.
     """
     if not (math.isfinite(f_sup) and f_sup >= 0):
         raise ArgumentError(f"f_sup must be finite and >= 0, got {f_sup}")
     d = domain.diameter
     k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
-    if omega_bar is None:
-        omega_bar = shifted_modulus_majorant(data, k1, d)
-    if params is None:
-        if b_coeff is None:
-            b_coeff = cone_coefficient(domain, m)
-        r = _choose_radius(domain, xis, b_coeff, seeds)
-        r1 = 0.5 * r
+    omega_bar = shifted_modulus_majorant(data, k1, d)
+    b_coeff = cone_coefficient(domain, m)
+    r = _choose_radius(domain, xis, b_coeff, seeds)
+    r1 = 0.5 * r
 
-        k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
-        rmin, rmax = domain.boundary_radius_range()
-        gamma2 = data.inf_phi - k1 * rmax**2 + k2
-        sup_shifted = data.sup_phi - k1 * rmin**2 + k2
-        osc = np.maximum(sup_shifted - gamma2, 0.0)
-        bar_r1 = omega_bar(r1)
-        # the first branch must drop below gamma2 on the gluing sphere
-        lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
-        gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
+    k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
+    rmin, rmax = domain.boundary_radius_range()
+    gamma2 = data.inf_phi - k1 * rmax**2 + k2
+    sup_shifted = data.sup_phi - k1 * rmin**2 + k2
+    osc = np.maximum(sup_shifted - gamma2, 0.0)
+    bar_r1 = omega_bar(r1)
+    # the first branch must drop below gamma2 on the gluing sphere
+    lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
+    gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
 
-        params = BarrierParams(B=b_coeff, r=r, r1=r1, gamma1=gamma1, gamma2=gamma2,
-                               K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
+    params = BarrierParams(B=b_coeff, r=r, r1=r1, gamma1=gamma1, gamma2=gamma2,
+                           K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
     phi_xi = np.asarray(data.phi(xis), dtype=float)
-    return BarrierEnvelope(params, phi_xi, omega_bar, data, domain, m)
-
-
-def build_point_barrier(
-    xi,
-    data: BoundaryData,
-    domain: Domain,
-    m: int,
-    f_sup: float = 0.0,
-    params: BarrierParams | None = None,
-    seed: int = 0,
-    b_coeff: float | None = None,
-    omega_bar: ModulusCurve | None = None,
-) -> BarrierEnvelope:
-    """Assemble v_xi for one boundary point, as a one-point envelope.
-
-    When ``params`` is supplied its radius is revalidated against the
-    sampled |g| <= d^2 requirement (a violation raises); otherwise all
-    parameters are derived here.  ``b_coeff`` and ``omega_bar`` can be
-    precomputed once per envelope.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    if abs(float(domain.rho(xi))) > 1e-10:
-        raise ArgumentError("xi must lie on the boundary")
-    if params is not None:
-        # the domain sits inside B(xi, diameter), so larger radii add nothing
-        d = domain.diameter
-        z = xi + min(params.r.item(), d) * _unit_ball((seed, 7919), domain.n, 512)
-        if _max_abs_g(domain, xi, params.B, z) > d * d * (1 + 1e-9):
-            raise ArgumentError("|g| exceeds diameter^2 inside B(xi, r); r too large")
-    return _envelope(
-        xi[None, :], [seed], data, domain, m, f_sup, b_coeff, omega_bar, params
-    )
+    return BarrierEnvelope(params, phi_xi, omega_bar, domain, m)
 
 
 def build_subsolution(
@@ -507,21 +459,17 @@ def build_subsolution(
 ) -> BarrierEnvelope:
     """Envelope of point barriers over seeded boundary samples.
 
-    ``f`` is the density evaluator (None means zero); ``f_sup`` should be
-    its exact supremum when known, otherwise it is estimated from interior
-    and boundary samples.  Barrier i draws its radius samples from the
+    ``f`` is the density evaluator (None means zero) and ``f_sup`` a bound
+    of its supremum, required with a density: a sampled maximum would
+    undercut the true sup.  Barrier i draws its radius samples from the
     stream ``(seed, i)``.
     """
     if xi_count < 1:
         raise ArgumentError("xi_count must be >= 1")
     if f_sup is None:
-        if f is None:
-            f_sup = 0.0
-        else:
-            probe = np.concatenate(
-                [sample_interior(domain, 512, seed + 3), sample_boundary(domain, 256, seed + 4)]
-            )
-            f_sup = float(np.max(np.asarray(f(probe), dtype=float)))
+        if f is not None:
+            raise ArgumentError("a density needs its bound f_sup")
+        f_sup = 0.0
     xis = sample_boundary(domain, xi_count, seed)
     seeds = [(seed, i) for i in range(xi_count)]
     return _envelope(xis, seeds, data, domain, m, f_sup)
@@ -706,17 +654,6 @@ def _hessian_from_stencil(values: np.ndarray, dim: int, h: float) -> np.ndarray:
             pos += 4
             q[..., a, b] = q[..., b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
     return q
-
-
-def fd_real_hessian(func, z, h: float = 1e-4) -> np.ndarray:
-    """Dense 2n x 2n central-difference Hessian in interleaved coordinates.
-
-    Evaluates the whole stencil in one batched call.
-    """
-    z = np.asarray(z, dtype=complex)
-    nodes = fd_stencil(z, h)
-    values = np.asarray(func(nodes), dtype=float)
-    return _hessian_from_stencil(values, 2 * z.size, h)
 
 
 @dataclass

@@ -59,6 +59,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """argparse type for --seed: an integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_lambda(text: str) -> np.ndarray:
     return np.array([spec_number(x, text) for x in text.split(",") if x])
 
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common])
         p.set_defaults(func=func)
         if seed:
-            p.add_argument("--seed", type=int, default=42)
+            p.add_argument("--seed", type=seed_int, default=42)
         if tol:
             p.add_argument("--tol", type=finite_float, default=None)
         if fmt:

@@ -88,9 +88,9 @@ class ModulusCurve:
         return cls(t, w)
 
 
-def linear_curve(slope: float, length: float, knots: int = 257) -> ModulusCurve:
-    """Exact sampled curve of t -> slope * t on [0, length]."""
-    t = np.linspace(0.0, length, knots)
+def linear_curve(slope: float, length: float) -> ModulusCurve:
+    """Exact sampled curve of t -> slope * t on [0, length], 257 knots."""
+    t = np.linspace(0.0, length, 257)
     return ModulusCurve(t, slope * t)
 
 
@@ -135,6 +135,8 @@ def estimate_modulus(
         raise ArgumentError("need >= 2 points with one value per point")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
         raise ArgumentError("points and values must be finite")
+    if t_max is not None and not t_max > 0:
+        raise ArgumentError("t_max must be positive")
 
     if np.isscalar(bins) or np.ndim(bins) == 0:
         k = int(bins)

@@ -251,7 +251,6 @@ class RadialProblem:
     n: int
     m: int
     density: object
-    p: float | None = None  # integrability exponent, metadata only
     convention: str = "form"
 
     def __post_init__(self):
@@ -271,8 +270,6 @@ class RadialProblem:
                 raise DomainError(
                     f"log density needs gamma > m/n = {self.m / self.n}, got {d.gamma}"
                 )
-        if self.p is not None and not self.p > self.n / self.m:
-            raise DomainError(f"integrability exponent must exceed n/m = {self.n / self.m}")
 
     @property
     def B(self) -> float:
@@ -283,7 +280,6 @@ class RadialProblem:
             "n": self.n,
             "m": self.m,
             "density": self.density.describe(),
-            "p": self.p,
             "convention": self.convention,
         }
 

@@ -166,7 +166,18 @@ def suite_barrier(seed: int = 42) -> list:
     probe = barrier.msh_probe(env_r, count=60, seed=seed + 5)
     checks.append(
         _check("msh_probe", probe.min_margin >= -1e-6 * probe.scale,
-               min_margin=probe.min_margin, smooth_points=probe.points_smooth)
+               min_margin=probe.min_margin, smooth_points=probe.points_smooth,
+               points_tested=probe.points_tested)
+    )
+
+    # the f > 0 subsolution inequality l_alpha(v) >= f^(1/m), for f = 1
+    ones = lambda z: np.ones(np.asarray(z).shape[0])
+    env_f = barrier.build_subsolution(data_r, ones, dom, m=2, xi_count=60, seed=seed, f_sup=1.0)
+    probe = barrier.lalpha_probe(env_f, ones, count=40, alpha_samples=12, seed=seed + 6)
+    checks.append(
+        _check("lalpha_probe", probe.points_smooth > 0 and probe.min_margin >= -1e-6,
+               min_margin=probe.min_margin, smooth_points=probe.points_smooth,
+               points_tested=probe.points_tested)
     )
     return checks
 

@@ -1,0 +1,78 @@
+"""Every public function and class in ``src/hessiankit`` has a caller in ``src/``.
+
+A public name that only tests reach is surface the package carries for no
+command or suite.  The exceptions are the names the benchmark imports from
+the package (``BENCH_PINNED``); each must still be referenced by its bench
+file, so the map goes stale, and this test fails, once the benchmark drops
+one.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hessiankit"
+
+BENCH_PINNED = {
+    "TableDensity": "bench/workloads.py",
+    "boundary_from_samples": "bench/workloads.py",
+    "elementary_symmetric_enumerate": "bench/workloads.py",
+    "l_alpha": "bench/workloads.py",
+}
+
+
+def referenced_names(tree: ast.AST):
+    """Yield each name or attribute referenced in tree (strings do not count)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def package_surface():
+    """(public names by module, set of (module, name, enclosing definition)).
+
+    The enclosing definition is the top-level function or class a reference
+    sits in, or None at module level.
+    """
+    public = {}
+    refs = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = ast.parse(path.read_text())
+        defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        public[module] = [
+            node.name for node in tree.body
+            if isinstance(node, defs) and not node.name.startswith("_")
+        ]
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, defs) else None
+            refs.update((module, name, owner) for name in referenced_names(stmt))
+    return public, refs
+
+
+PUBLIC, REFS = package_surface()
+
+
+def has_src_caller(module: str, name: str) -> bool:
+    return any(ref == name and (mod, owner) != (module, name) for mod, ref, owner in REFS)
+
+
+def test_every_public_name_has_a_src_caller():
+    orphans = [
+        f"{module}.{name}" for module, names in PUBLIC.items() for name in names
+        if name not in BENCH_PINNED and not has_src_caller(module, name)
+    ]
+    assert orphans == []
+
+
+@pytest.mark.parametrize("name, bench_file", sorted(BENCH_PINNED.items()))
+def test_bench_pin_is_current(name, bench_file):
+    owners = [module for module, names in PUBLIC.items() if name in names]
+    assert owners, f"{name} is not a public name of the package"
+    assert not has_src_caller(owners[0], name), f"{name} has a src/ caller; unpin it"
+    tree = ast.parse((ROOT / bench_file).read_text())
+    assert name in set(referenced_names(tree)), f"{bench_file} no longer uses {name}"

@@ -54,84 +54,99 @@ class TestBoundaryData:
         assert data.omega_phi.length == pytest.approx(BALL.diameter)
 
 
+def single_barriers(env):
+    """The one-row envelopes of env's barrier table: v_xi for each xi alone."""
+    return [
+        barrier.BarrierEnvelope(env.barriers[i], env.phi_xi[[i]], env.omega_bar, env.domain, env.m)
+        for i in range(len(env.barriers))
+    ]
+
+
+def fd_real_hessian(func, z, h):
+    """Dense 2n x 2n central-difference Hessian of func at the point z (n,),
+    in interleaved coordinates, from one batched call on the stencil."""
+    values = np.asarray(func(barrier.fd_stencil(z, h)), dtype=float)
+    return barrier._hessian_from_stencil(values, 2 * z.size, h)
+
+
 class TestPointBarrier:
     def test_touches_data_at_xi(self):
         data = barrier.boundary_re_z1(BALL)
-        xis = geometry.sample_boundary(BALL, 30, seed=5)
-        b_coeff = barrier.cone_coefficient(BALL, 2)
-        omega_bar = barrier.shifted_modulus_majorant(data, 0.0, BALL.diameter)
-        for i, xi in enumerate(xis):
-            vb = barrier.build_point_barrier(
-                xi, data, BALL, m=2, seed=(7, i), b_coeff=b_coeff, omega_bar=omega_bar
-            )
+        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=30, seed=5)
+        for vb, xi in zip(single_barriers(env), env.barriers.xi):
             got = float(vb(xi[None, :])[0])
             want = float(data.phi(xi[None, :])[0])
             assert abs(got - want) <= 1e-9
 
     def test_below_data_on_boundary(self):
         data = barrier.boundary_psi_sqrt(BALL)
-        xi = geometry.sample_boundary(BALL, 1, seed=6)[0]
-        vb = barrier.build_point_barrier(xi, data, BALL, m=2, seed=8)
+        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=8, seed=6)
         samples = geometry.sample_boundary(BALL, 10000, seed=9)
-        gap = vb(samples) - np.asarray(data.phi(samples), dtype=float)
-        assert np.max(gap) <= 1e-9
+        phi = np.asarray(data.phi(samples), dtype=float)
+        for vb in single_barriers(env):
+            assert np.max(vb(samples) - phi) <= 1e-9
 
     def test_parameter_invariants(self):
         data = barrier.boundary_re_z1(BALL)
-        xi = geometry.sample_boundary(BALL, 1, seed=10)[0]
-        vb = barrier.build_point_barrier(xi, data, BALL, m=2, f_sup=1.0, seed=11)
-        p = vb.barriers
-        assert 0 < p.r1 < p.r
-        assert p.gamma1 >= BALL.diameter / p.r1
+        env = barrier.build_subsolution(
+            data, ones_density, BALL, m=2, xi_count=30, seed=10, f_sup=1.0
+        )
+        p = env.barriers
+        assert np.all(0 < p.r1) and np.all(p.r1 < p.r)
+        assert np.all(p.gamma1 >= BALL.diameter / p.r1)
         eigs = np.linalg.eigvalsh(p.B * BALL.hess_rho() - np.eye(2))
         assert core.gamma_m_contains(eigs, 2).member
-        assert p.K1 == 1.0 and p.K2 == pytest.approx(p.K1 * np.sum(np.abs(xi) ** 2))
-
-    def test_interior_point_rejected(self):
-        data = barrier.boundary_re_z1(BALL)
-        with pytest.raises(ArgumentError):
-            barrier.build_point_barrier(np.zeros(2, dtype=complex), data, BALL, m=2)
+        assert p.K1 == 1.0
+        assert p.K2 == pytest.approx(p.K1 * np.sum(np.abs(p.xi) ** 2, axis=1))
 
     @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
     def test_invalid_density_bound_rejected(self, f_sup):
         data = barrier.boundary_re_z1(BALL)
         with pytest.raises(ArgumentError):
             barrier.build_subsolution(data, None, BALL, m=2, xi_count=10, seed=1, f_sup=f_sup)
-        xi = geometry.sample_boundary(BALL, 1, seed=12)[0]
-        with pytest.raises(ArgumentError):
-            barrier.build_point_barrier(xi, data, BALL, m=2, f_sup=f_sup)
 
-    def test_oversized_g_rejected(self):
-        # on the unit ball g = 2 Re<z, xi> - 2 stays within d^2 for B = 1,
-        # but an inflated cone coefficient pushes |g| past it
+    def test_density_without_bound_rejected(self):
+        # a sampled maximum of f would undercut its supremum
         data = barrier.boundary_re_z1(BALL)
-        xi = geometry.sample_boundary(BALL, 1, seed=12)[0]
-        good = barrier.build_point_barrier(xi, data, BALL, m=2, seed=13)
-        params = barrier.BarrierParams(
-            B=200.0, r=good.barriers.r, r1=good.barriers.r1,
-            gamma1=good.barriers.gamma1, gamma2=good.barriers.gamma2,
-            K1=0.0, K2=0.0, xi=xi, z0=BALL.barycenter,
-        )
-        with pytest.raises(ArgumentError):
-            barrier.build_point_barrier(xi, data, BALL, m=2, params=params)
+        with pytest.raises(ArgumentError, match="f_sup"):
+            barrier.build_subsolution(data, ones_density, BALL, m=2, xi_count=10, seed=1)
 
     def test_modulus_of_glued_barrier(self):
         # omega of the glued barrier is controlled by omega_phi(sqrt t)
         data = barrier.boundary_re_z1(BALL)
-        xi = np.array([1.0 + 0j, 0.0])
-        vb = barrier.build_point_barrier(xi, data, BALL, m=2, seed=14)
-        pts = barrier.verification_grid(BALL, 4000, seed=15, anchors=data.anchors)
-        vals = vb(pts)
-        reals = np.concatenate([pts.real, pts.imag], axis=1)
-        edges = np.geomspace(1e-4, BALL.diameter, 160)
-        curve = modulus.estimate_modulus(reals, vals, bins=edges, t_max=BALL.diameter)
-        t, w = curve.t[1:], curve.w[1:]
-        denom = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
-        c_fit = float(np.max(w / denom))
-        p = vb.barriers
+        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=3, seed=14)
         lip_rho = BALL.lipschitz_rho()
-        c_bound = p.gamma1 * (1.0 + math.sqrt(2.0 * BALL.diameter + p.B * lip_rho))
-        assert c_fit <= c_bound
+        for vb in single_barriers(env):
+            # rays graded toward xi resolve the barrier's steepest part
+            pts = barrier.verification_grid(BALL, 4000, seed=15, anchors=vb.barriers.xi)
+            vals = vb(pts)
+            reals = np.concatenate([pts.real, pts.imag], axis=1)
+            edges = np.geomspace(1e-4, BALL.diameter, 160)
+            curve = modulus.estimate_modulus(reals, vals, bins=edges, t_max=BALL.diameter)
+            t, w = curve.t[1:], curve.w[1:]
+            denom = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
+            c_fit = float(np.max(w / denom))
+            p = vb.barriers
+            c_bound = p.gamma1[0] * (1.0 + math.sqrt(2.0 * BALL.diameter + p.B * lip_rho))
+            assert c_fit <= c_bound
+
+    @pytest.mark.parametrize(
+        "dom", [BALL, Domain.ellipsoid([1.0, 4.0]), Domain.ellipsoid([1.0, 9.0, 2.0])],
+        ids=["ball", "ellipsoid-1-4", "ellipsoid-1-9-2"],
+    )
+    @pytest.mark.parametrize("f_sup", [0.0, 1.0])
+    def test_rows_independent_of_other_points(self, dom, f_sup):
+        # barrier i depends only on its own xi and seed stream (seed, i)
+        data = barrier.boundary_re_z1(dom)
+        density = ones_density if f_sup > 0 else None
+        few = barrier.build_subsolution(data, density, dom, m=2, xi_count=10, seed=60, f_sup=f_sup)
+        many = barrier.build_subsolution(data, density, dom, m=2, xi_count=40, seed=60, f_sup=f_sup)
+        for name in ("r", "r1", "gamma1", "gamma2", "K2", "xi"):
+            assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name)[:10])
+        assert np.array_equal(few.phi_xi, many.phi_xi[:10])
+        for name in ("B", "K1", "z0"):
+            assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name))
+        assert few.omega_bar == many.omega_bar
 
 
 class TestEnvelope:
@@ -203,7 +218,7 @@ class TestEnvelope:
 
 
 class TestBatchedEnvelope:
-    """The K-point envelope against the per-point loop it replaces."""
+    """The K-row envelope against its K one-row envelopes, evaluated one by one."""
 
     @pytest.mark.parametrize(
         "dom, spec, f_sup",
@@ -220,20 +235,12 @@ class TestBatchedEnvelope:
         data = barrier.make_boundary_data(spec, dom)
         density = ones_density if f_sup > 0 else None
         env = barrier.build_subsolution(data, density, dom, m=2, xi_count=40, seed=60, f_sup=f_sup)
-        b_coeff = barrier.cone_coefficient(dom, 2)
-        omega_bar = barrier.shifted_modulus_majorant(data, math.sqrt(f_sup), dom.diameter)
-        xis = geometry.sample_boundary(dom, 40, 60)
-        singles = [
-            barrier.build_point_barrier(
-                xi, data, dom, m=2, f_sup=f_sup, seed=(60, i), b_coeff=b_coeff, omega_bar=omega_bar
-            )
-            for i, xi in enumerate(xis)
-        ]
+        singles = single_barriers(env)
         pts = np.concatenate([
             barrier.verification_grid(dom, 600, seed=61, anchors=data.anchors),
             geometry.sample_boundary(dom, 200, seed=62),
-            xis,
-            0.999 * xis,
+            env.barriers.xi,
+            0.999 * env.barriers.xi,
         ])
         assert np.array_equal(env(pts), np.max([vb(pts) for vb in singles], axis=0))
 
@@ -294,7 +301,7 @@ class TestLiveBranches:
         pts = np.concatenate([
             barrier.verification_grid(BALL, 3000, seed=22, anchors=data.anchors),
             geometry.sample_boundary(BALL, 200, seed=23),
-            env.xis,
+            env.barriers.xi,
         ])
         rows = barrier.BLOCK_ELEMENTS // len(env.barriers)
         assert pts.shape[0] > 3 * rows and pts.shape[0] % rows != 0
@@ -384,7 +391,7 @@ class TestProbes:
         # |z|^2 has complex Hessian exactly the identity
         func = lambda z: (np.abs(np.asarray(z)) ** 2).sum(axis=-1)
         z = np.array([0.3 + 0.1j, -0.2 + 0.4j])
-        a = core.complex_hessian_from_real(barrier.fd_real_hessian(func, z, h=1e-4))
+        a = core.complex_hessian_from_real(fd_real_hessian(func, z, h=1e-4))
         assert np.max(np.abs(a - np.eye(2))) <= 1e-7
 
     def test_msh_probe(self):

@@ -173,6 +173,13 @@ class TestModulusCommand:
         maj = ModulusCurve.from_csv((tmp_path / "modulus_majorant.csv").read_text())
         assert np.all(maj(curve.t) >= curve.w - 1e-12)
 
+    @pytest.mark.parametrize("t_max", ["0", "-1"])
+    def test_non_positive_t_max_exits_2(self, capsys, tmp_path, t_max):
+        code = cli.main(with_files(["modulus", "--input", "{points}", "--t-max", t_max], tmp_path))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "t_max must be positive" in captured.err
+
     def test_nan_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("x1,value\n0.0,0.0\n0.5,nan\n1.0,1.0\n")
@@ -319,6 +326,20 @@ def test_report_echoes_seed_and_tol_where_taken(capsys, tmp_path, name):
     payload = json_part(out)
     echoed = {f"--{key}" for key in ("seed", "tol") if key in payload}
     assert echoed == TAKES[name] - {"--format"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("name", sorted(n for n in TAKES if "--seed" in TAKES[n]))
+def test_negative_seed_exits_2(capsys, tmp_path, name, source):
+    # numpy's generators take seeds >= 0, and exit 1 means failed verification
+    extra = ["--seed", "-1"]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text("seed = -1\n")
+        extra = ["--config", str(tmp_path / "run.cfg")]
+    out_dir = tmp_path / "reports"
+    argv = with_files([name, *REQUIRED[name], *extra, "--output-dir", str(out_dir)], tmp_path)
+    code, out = run_cli(capsys, argv)
+    assert code == 2 and out == "" and not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv", [

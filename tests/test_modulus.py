@@ -125,6 +125,12 @@ class TestEstimateModulus:
         with pytest.raises(ArgumentError):
             modulus.estimate_modulus(pts, np.zeros(10), bins=4, t_max=1.0)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    def test_non_positive_t_max_rejected(self, t_max):
+        x = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(ArgumentError, match="t_max must be positive"):
+            modulus.estimate_modulus(x, x, bins=4, t_max=t_max)
+
     def test_geometric_edges(self):
         x = np.linspace(0.0, 1.0, 500)
         edges = np.geomspace(1e-2, 1.0, 40)
@@ -468,4 +474,4 @@ class TestHolderFit:
 
     def test_insufficient_knots(self):
         with pytest.raises(ArgumentError):
-            modulus.holder_fit(modulus.linear_curve(1.0, 1.0, knots=3), (0.2, 0.3))
+            modulus.holder_fit(ModulusCurve([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]), (0.2, 0.3))

@@ -173,8 +173,6 @@ class TestRadialSolve:
             RadialProblem(2, 1, PowerDensity(4.5))  # alpha >= 2n
         with pytest.raises(DomainError):
             RadialProblem(3, 2, LogDensity(0.5, 2))  # gamma <= m/n
-        with pytest.raises(DomainError):
-            RadialProblem(2, 2, ConstDensity(1.0), p=0.9)
 
     def test_unmet_tolerance_reports_achieved_error(self):
         from hessiankit.errors import QuadratureError
@@ -362,7 +360,7 @@ class TestHolderExponent:
     def test_approach_critical_integrability(self):
         # alpha just below 2n/p with p = 1.5 approaches exponent 2/3
         alpha = 8.0 / 3.0 - 1e-3
-        problem = RadialProblem(2, 2, PowerDensity(alpha), convention="form", p=1.4)
+        problem = RadialProblem(2, 2, PowerDensity(alpha), convention="form")
         rep = radial.holder_exponent_check(problem)
         assert abs(rep.fit.exponent - (2.0 - alpha / 2.0)) <= 0.03
         assert abs(rep.fit.exponent - 2.0 / 3.0) <= 0.05
@@ -488,7 +486,7 @@ class TestModulusInequality:
         n, m, alpha, p = 2, 2, 3.0, 1.2
         assert alpha * p < 2 * n  # density is in L^p
         kappa = 2.0 - 2.0 * n / (m * p)
-        problem = RadialProblem(n, m, PowerDensity(alpha), convention="form", p=p)
+        problem = RadialProblem(n, m, PowerDensity(alpha), convention="form")
         sol = radial.radial_solve(problem, grid=np.geomspace(1e-4, 1.0, 300), tol=1e-10)
         r = sol.r
         diffs = sol.u[None, :] - sol.u[:, None]
