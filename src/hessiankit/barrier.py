@@ -9,13 +9,14 @@ K1 = sup f^(1/m), base point z0 (the barycenter) and K2 = K1 |xi - z0|^2:
 * profile           chi(t) = -omega_bar((-t)^(1/2)), the concave majorant
                     omega_bar of the shifted data's modulus, which makes
                     chi convex nondecreasing on [-d^2, 0]
-* near-field        h(z) = chi(g(z)) + phitilde(xi) on B(xi, r), where r
-                    keeps |g| <= d^2
+* near-field        h(z) = chi(g(z)) + phitilde(xi), with chi held at
+                    -omega_bar(d) for g < -d^2: the constant extension
+                    stays convex nondecreasing, so h is m-sh wherever g is
 * glue              h_xi = max(gamma1 (h - phitilde(xi)) + phitilde(xi),
-                    gamma2) inside B(xi, r1), constant gamma2 outside,
-                    with gamma2 a lower bound of phitilde on the boundary
-                    and gamma1 large enough that the first branch drops
-                    below gamma2 on the gluing sphere
+                    gamma2) inside B(xi, r1), r1 = d/2, constant gamma2
+                    outside, with gamma2 a lower bound of phitilde on
+                    the boundary and gamma1 large enough that the first
+                    branch drops below gamma2 on the gluing sphere
 * barrier           v_xi = h_xi + K1 |z - z0|^2 - K2.
 
 Then v_xi(xi) = phi(xi), v_xi <= phi on the boundary, and the envelope
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import core
 from .errors import ArgumentError, DomainError, spec_number
-from .geometry import Domain, sample_boundary, sample_interior
+from .geometry import Domain, pseudoconvexity_constant, sample_boundary, sample_interior
 from .modulus import (
     HolderFit,
     ModulusCurve,
@@ -51,17 +52,6 @@ from .modulus import (
 )
 
 RHO_SNAP = 1e-13  # defining-function values this close to 0 count as boundary
-
-
-def _child_seed(*parts) -> list:
-    """Flatten nested seed parts into a list accepted by default_rng."""
-    out = []
-    for p in parts:
-        if isinstance(p, (tuple, list)):
-            out.extend(_child_seed(*p))
-        else:
-            out.append(int(p) % (2**63))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,20 +192,19 @@ def psi_example_solution(z):
 # ---------------------------------------------------------------------------
 # Parameter derivation
 
-_PER_POINT = ("r", "r1", "gamma1", "gamma2", "K2")
+_PER_POINT = ("gamma1", "gamma2", "K2")
 
 
 @dataclass
 class BarrierParams:
     """Parameters of K point barriers, one row per boundary point xi.
 
-    ``r``, ``r1``, ``gamma1``, ``gamma2`` and ``K2`` are (K,) arrays and
-    ``xi`` is (K, n); ``B``, ``K1`` and ``z0`` are shared.
+    ``gamma1``, ``gamma2`` and ``K2`` are (K,) arrays and ``xi`` is (K, n);
+    ``B``, ``r1``, ``K1`` and ``z0`` are shared.
     """
 
     B: float
-    r: np.ndarray
-    r1: np.ndarray
+    r1: float
     gamma1: np.ndarray
     gamma2: np.ndarray
     K1: float
@@ -233,7 +222,7 @@ class BarrierParams:
     def describe(self) -> dict:
         """Scalar parameters of a single barrier."""
         row = {name: getattr(self, name).item() for name in _PER_POINT}
-        return {"B": self.B, "K1": self.K1, **row}
+        return {"B": self.B, "K1": self.K1, "r1": self.r1, **row}
 
 
 def cone_coefficient(domain: Domain, m: int) -> float:
@@ -242,8 +231,6 @@ def cone_coefficient(domain: Domain, m: int) -> float:
     A is the pseudoconvexity constant; hess(rho) is constant on the model
     domains, so one matrix decides.
     """
-    from .geometry import pseudoconvexity_constant
-
     a_const = pseudoconvexity_constant(domain, m)
     hess = domain.hess_rho()
     for k in range(64):
@@ -252,49 +239,6 @@ def cone_coefficient(domain: Domain, m: int) -> float:
         if core.gamma_m_contains(eigs, m).member:
             return b
     raise DomainError("no admissible cone coefficient found")
-
-
-def _unit_ball(seed, n: int, samples: int) -> np.ndarray:
-    """Seeded uniform samples of the unit ball in C^n, shape (samples, n)."""
-    rng = np.random.default_rng(_child_seed(seed))
-    g = rng.standard_normal((samples, 2 * n))
-    g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
-    radii = rng.random(samples) ** (1.0 / (2 * n))
-    return (g[:, 0::2] + 1j * g[:, 1::2]) * radii[:, None]
-
-
-def _max_abs_g(domain: Domain, xi, b_coeff: float, z) -> np.ndarray:
-    """Max of |g| = |B rho - |z - xi|^2| over the samples z inside the domain.
-
-    Reduces the sample axis of ``z`` (..., samples, n); 0 where no sample
-    is inside.
-    """
-    rho = domain.rho(z)
-    s = (np.abs(z - xi) ** 2).sum(axis=-1)
-    return np.where(rho <= 0.0, np.abs(b_coeff * rho - s), 0.0).max(axis=-1)
-
-
-def _choose_radius(domain: Domain, xis, b_coeff: float, seeds) -> np.ndarray:
-    """Largest r per xi with |g| <= d^2 sampled on B(xi, r) inside the domain.
-
-    r = d where that already holds; the other xi are bisected together.
-    Each xi draws 256 samples from its own stream ``(seed, 104729)``.
-    """
-    d = domain.diameter
-    unit = np.stack([_unit_ball((seed, 104729), domain.n, 256) for seed in seeds])
-    xis = xis[:, None, :]
-    r = np.full(len(unit), d)
-    todo = _max_abs_g(domain, xis, b_coeff, xis + d * unit) > d * d
-    xis, unit = xis[todo], unit[todo]
-    lo = np.full(len(unit), 1e-6 * d)
-    hi = np.full(len(unit), d)
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        ok = _max_abs_g(domain, xis, b_coeff, xis + mid[:, None, None] * unit) <= d * d
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    r[todo] = lo
-    return r
 
 
 def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> ModulusCurve:
@@ -360,7 +304,9 @@ class BarrierEnvelope:
             quad = (p.K1 * (np.abs(zb - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
             i, k = np.nonzero(s < r1_sq)
             neg_g = np.maximum(s[i, k] - (p.B * rho)[i], 0.0)
-            chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
+            # omega_bar held at its last value past its last knot keeps chi
+            # convex nondecreasing
+            chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
             near = np.full(s.shape, -np.inf)
             near[i, k] = (p.gamma1[k] * chi + self.phi_xi[k]) + quad[i, k]
             yield rows, (p.gamma2 + quad).max(axis=1), near
@@ -415,13 +361,12 @@ class NegatedEnvelope:
 # Builders
 
 
-def _envelope(xis, seeds, data: BoundaryData, domain: Domain, m: int,
+def _envelope(xis, data: BoundaryData, domain: Domain, m: int,
               f_sup: float) -> BarrierEnvelope:
     """Envelope of the barriers at the boundary points xis (K, n).
 
-    Checks the density bound and derives every barrier parameter; barrier i
-    draws its radius samples from the stream ``(seeds[i], 104729)``, so each
-    row depends only on its own xi and seed.
+    Checks the density bound and derives every barrier parameter; row i
+    depends only on its own xi.
     """
     if not (math.isfinite(f_sup) and f_sup >= 0):
         raise ArgumentError(f"f_sup must be finite and >= 0, got {f_sup}")
@@ -429,8 +374,7 @@ def _envelope(xis, seeds, data: BoundaryData, domain: Domain, m: int,
     k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
     omega_bar = shifted_modulus_majorant(data, k1, d)
     b_coeff = cone_coefficient(domain, m)
-    r = _choose_radius(domain, xis, b_coeff, seeds)
-    r1 = 0.5 * r
+    r1 = 0.5 * d
 
     k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
     rmin, rmax = domain.boundary_radius_range()
@@ -440,9 +384,11 @@ def _envelope(xis, seeds, data: BoundaryData, domain: Domain, m: int,
     bar_r1 = omega_bar(r1)
     # the first branch must drop below gamma2 on the gluing sphere
     lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
-    gamma1 = np.maximum(d / r1, lift) * 1.05  # slack for the sampled gluing inequality
+    # 5 % above the bound: where omega_bar(r1) > 0 the first branch ends
+    # strictly below gamma2 on the gluing sphere, with room for rounding
+    gamma1 = np.maximum(d / r1, lift) * 1.05
 
-    params = BarrierParams(B=b_coeff, r=r, r1=r1, gamma1=gamma1, gamma2=gamma2,
+    params = BarrierParams(B=b_coeff, r1=r1, gamma1=gamma1, gamma2=gamma2,
                            K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
     phi_xi = np.asarray(data.phi(xis), dtype=float)
     return BarrierEnvelope(params, phi_xi, omega_bar, domain, m)
@@ -461,8 +407,7 @@ def build_subsolution(
 
     ``f`` is the density evaluator (None means zero) and ``f_sup`` a bound
     of its supremum, required with a density: a sampled maximum would
-    undercut the true sup.  Barrier i draws its radius samples from the
-    stream ``(seed, i)``.
+    undercut the true sup.  ``seed`` drives the boundary samples.
     """
     if xi_count < 1:
         raise ArgumentError("xi_count must be >= 1")
@@ -471,8 +416,7 @@ def build_subsolution(
             raise ArgumentError("a density needs its bound f_sup")
         f_sup = 0.0
     xis = sample_boundary(domain, xi_count, seed)
-    seeds = [(seed, i) for i in range(xi_count)]
-    return _envelope(xis, seeds, data, domain, m, f_sup)
+    return _envelope(xis, data, domain, m, f_sup)
 
 
 def build_supersolution(
@@ -559,6 +503,10 @@ def verify_modulus_bound(
     curve knot; ``ceiling`` (when given) is the acceptance threshold for
     eta, with offending knots listed in ``violations``.
     """
+    # one geometric edge would not reach d; one point leaves no bulk sample
+    for name, value in (("bins", bins), ("grid", grid)):
+        if value < 2:
+            raise ArgumentError(f"{name} must be >= 2, got {value}")
     d = domain.diameter
     pts = verification_grid(domain, grid, seed, anchors=data.anchors)
     vals = np.asarray(v(pts), dtype=float)

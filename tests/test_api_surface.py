@@ -1,10 +1,11 @@
-"""Every public function and class in ``src/hessiankit`` has a caller in ``src/``.
+"""Every top-level function and class in ``src/hessiankit`` has a caller in ``src/``.
 
 A public name that only tests reach is surface the package carries for no
 command or suite.  The exceptions are the names the benchmark imports from
 the package (``BENCH_PINNED``); each must still be referenced by its bench
 file, so the map goes stale, and this test fails, once the benchmark drops
-one.
+one.  A private helper left behind when its last caller goes is dead code,
+and has no exceptions.
 """
 
 import ast
@@ -33,28 +34,27 @@ def referenced_names(tree: ast.AST):
 
 
 def package_surface():
-    """(public names by module, set of (module, name, enclosing definition)).
+    """(top-level definitions by module, set of (module, name, enclosing definition)).
 
     The enclosing definition is the top-level function or class a reference
     sits in, or None at module level.
     """
-    public = {}
+    defined = {}
     refs = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         tree = ast.parse(path.read_text())
         defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        public[module] = [
-            node.name for node in tree.body
-            if isinstance(node, defs) and not node.name.startswith("_")
-        ]
+        defined[module] = [node.name for node in tree.body if isinstance(node, defs)]
         for stmt in tree.body:
             owner = stmt.name if isinstance(stmt, defs) else None
             refs.update((module, name, owner) for name in referenced_names(stmt))
-    return public, refs
+    return defined, refs
 
 
-PUBLIC, REFS = package_surface()
+DEFINED, REFS = package_surface()
+PUBLIC = {module: [n for n in names if not n.startswith("_")] for module, names in DEFINED.items()}
+PRIVATE = {module: [n for n in names if n.startswith("_")] for module, names in DEFINED.items()}
 
 
 def has_src_caller(module: str, name: str) -> bool:
@@ -67,6 +67,14 @@ def test_every_public_name_has_a_src_caller():
         if name not in BENCH_PINNED and not has_src_caller(module, name)
     ]
     assert orphans == []
+
+
+def test_every_private_helper_has_a_src_caller():
+    dead = [
+        f"{module}.{name}" for module, names in PRIVATE.items() for name in names
+        if not has_src_caller(module, name)
+    ]
+    assert dead == []
 
 
 @pytest.mark.parametrize("name, bench_file", sorted(BENCH_PINNED.items()))

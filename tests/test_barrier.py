@@ -92,7 +92,7 @@ class TestPointBarrier:
             data, ones_density, BALL, m=2, xi_count=30, seed=10, f_sup=1.0
         )
         p = env.barriers
-        assert np.all(0 < p.r1) and np.all(p.r1 < p.r)
+        assert p.r1 == 0.5 * BALL.diameter
         assert np.all(p.gamma1 >= BALL.diameter / p.r1)
         eigs = np.linalg.eigvalsh(p.B * BALL.hess_rho() - np.eye(2))
         assert core.gamma_m_contains(eigs, 2).member
@@ -136,15 +136,15 @@ class TestPointBarrier:
     )
     @pytest.mark.parametrize("f_sup", [0.0, 1.0])
     def test_rows_independent_of_other_points(self, dom, f_sup):
-        # barrier i depends only on its own xi and seed stream (seed, i)
+        # barrier i depends only on its own xi
         data = barrier.boundary_re_z1(dom)
         density = ones_density if f_sup > 0 else None
         few = barrier.build_subsolution(data, density, dom, m=2, xi_count=10, seed=60, f_sup=f_sup)
         many = barrier.build_subsolution(data, density, dom, m=2, xi_count=40, seed=60, f_sup=f_sup)
-        for name in ("r", "r1", "gamma1", "gamma2", "K2", "xi"):
+        for name in ("gamma1", "gamma2", "K2", "xi"):
             assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name)[:10])
         assert np.array_equal(few.phi_xi, many.phi_xi[:10])
-        for name in ("B", "K1", "z0"):
+        for name in ("B", "r1", "K1", "z0"):
             assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name))
         assert few.omega_bar == many.omega_bar
 
@@ -315,7 +315,7 @@ class TestLiveBranches:
         pole = np.array([1.0, 0.0], dtype=complex)
         cand = geometry.sample_boundary(BALL, 2000, seed=24)
         xis = cand[np.linalg.norm(cand - pole, axis=1) < 0.4]
-        env = barrier._envelope(xis, [(24, i) for i in range(len(xis))], data, BALL, 2, 1.0)
+        env = barrier._envelope(xis, data, BALL, 2, 1.0)
         assert np.all(env.barriers.r1 == 1.0)
         rows = barrier.BLOCK_ELEMENTS // len(xis)
         pts = np.concatenate([
@@ -360,6 +360,36 @@ class TestOtherConfigurations:
         assert env.barriers.B == pytest.approx(1.6)
         _, vx, px = env.boundary_values()
         assert np.max(np.abs(vx - px)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "coeffs, m", [([0.3, 0.3, 0.3], 3), ([0.1, 0.1], 2)], ids=["ell-0.3-m3", "ell-0.1-m2"]
+    )
+    def test_small_coefficient_ellipsoid(self, coeffs, m):
+        # small coefficients make hess(rho) small and B large, so -g passes
+        # d^2 inside B(xi, d/2): the near branch there rests on omega_bar
+        # held constant past d
+        dom = Domain.ellipsoid(coeffs)
+        data = barrier.boundary_re_z1(dom)
+        env = barrier.build_subsolution(data, None, dom, m=m, xi_count=120, seed=3)
+        sup = barrier.build_supersolution(data, None, dom, m=m, xi_count=120, seed=3)
+        grid = barrier.verification_grid(dom, 2500, seed=5, anchors=data.anchors)
+        p, d = env.barriers, dom.diameter
+        s = (np.abs(grid[:, None, :] - p.xi) ** 2).sum(axis=-1)
+        neg_g = s - p.B * dom.rho(grid)[:, None]
+        assert np.any((s < p.r1 * p.r1) & (neg_g > d * d))
+
+        exact = grid[:, 0].real
+        assert np.max(env(grid) - exact) <= 1e-8
+        assert np.max(exact - sup(grid)) <= 2e-8
+        _, vx, px = env.boundary_values()
+        assert np.max(np.abs(vx - px)) <= 1e-9
+        fresh = geometry.sample_boundary(dom, 10000, seed=9)
+        assert np.max(env(fresh) - np.asarray(data.phi(fresh), dtype=float)) <= 1e-9
+
+        dense = barrier.build_subsolution(data, ones_density, dom, m=m, xi_count=120, seed=3, f_sup=1.0)
+        result = barrier.lalpha_probe(dense, ones_density, count=30, alpha_samples=12, seed=36)
+        assert result.points_smooth > 0
+        assert result.min_margin >= -1e-6
 
     def test_subharmonic_case_m1(self):
         data = barrier.boundary_re_z1(BALL)
@@ -470,6 +500,16 @@ class TestVerifyModulusBound:
             ceiling=2.0 * rep.eta_fitted,
         )
         assert relaxed.passed and relaxed.violations == []
+
+    @pytest.mark.parametrize("name", ["bins", "grid"])
+    def test_fewer_than_two_bins_or_grid_points_rejected(self, name):
+        # one geometric edge stops short of d, and one point leaves no bulk
+        data = barrier.boundary_psi_sqrt(BALL)
+        kwargs = {"grid": 400, "bins": 20, name: 1}
+        with pytest.raises(ArgumentError, match=f"{name} must be >= 2"):
+            barrier.verify_modulus_bound(
+                barrier.psi_example_solution, data, BALL, m=2, seed=1, **kwargs
+            )
 
     def test_report_serialization(self):
         data = barrier.boundary_re_z1(BALL)

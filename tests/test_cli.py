@@ -220,6 +220,16 @@ class TestBarrierCommand:
         ])
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("name", ["bins", "grid"])
+    def test_single_bin_or_grid_point_exits_2(self, capsys, name):
+        code = cli.main([
+            "barrier", "--n", "2", "--m", "2", "--xi-samples", "5", "--grid", "400",
+            "--bins", "20", f"--{name}", "1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"{name} must be >= 2" in captured.err
+
 
 class TestConfigFile:
     def test_config_fills_flags_and_flags_win(self, capsys, tmp_path):
