@@ -18,8 +18,11 @@ from .errors import ArgumentError, ExtrapolationError
 
 PAIR_SUBSAMPLE_THRESHOLD = 20000
 PAIR_BUDGET = 20_000_000
-# pairs per random draw on the subsampled path, which fixes the rng stream
+# pairs per random draw on the subsampled path, which fixes the rng stream;
+# one block of int32 draws (8 bytes per pair) is alive at a time
 PAIR_BLOCK = 2_000_000
+# the sampled path's int32 draws hold indices up to 2n - 2
+PAIR_INDEX_LIMIT = 2**30
 # pairs per filter slice; the curve's lower bound is refreshed after each
 FILTER_SLICE = 2**16
 # uniform cells of squared distance in that lower bound
@@ -133,6 +136,12 @@ def estimate_modulus(
     n = pts.shape[0]
     if n < 2 or vals.shape != (n,):
         raise ArgumentError("need >= 2 points with one value per point")
+    if pair_budget < 1:
+        raise ArgumentError("pair_budget must be >= 1")
+    if seed < 0:
+        raise ArgumentError("seed must be >= 0")
+    if n > pair_threshold and n > PAIR_INDEX_LIMIT:
+        raise ArgumentError(f"the sampled path takes at most {PAIR_INDEX_LIMIT} points")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
         raise ArgumentError("points and values must be finite")
     if t_max is not None and not t_max > 0:
@@ -174,17 +183,20 @@ def estimate_modulus(
         remaining = int(pair_budget)
         while remaining > 0:
             m = min(PAIR_BLOCK, remaining)
-            i = rng.integers(0, n, m)
-            j = rng.integers(0, n - 1, m)  # then j = (i + 1 + j) % n != i, in place
+            # the same 32-bit draws fill int32 as int64 below 2^32 - 1
+            i = rng.integers(0, n, m, dtype=np.int32)
+            j = rng.integers(0, n - 1, m, dtype=np.int32)  # then j = (i + 1 + j) % n
             j += i
             j += 1
             j %= n
             for s in range(0, m, FILTER_SLICE):
-                ii, jj = i[s : s + FILTER_SLICE], j[s : s + FILTER_SLICE]
+                ii = i[s : s + FILTER_SLICE].astype(np.intp)
+                jj = j[s : s + FILTER_SLICE].astype(np.intp)
                 gaps = np.abs(vals[ii] - vals[jj])
                 diffs = (col[ii] - col[jj] for col in cols)
                 keep = np.flatnonzero(curve.may_raise(gaps, diffs))
                 curve.add(pts, ii[keep], jj[keep], gaps[keep])
+            del i, j  # before the next draw
             remaining -= m
 
     w = np.maximum.accumulate(curve.sup)

@@ -692,10 +692,17 @@ def gamma_exponent(n: int, m: int, p: float, r: float = 1.0) -> float:
 
 
 def gamma_targets(n: int, m: int, p: float) -> dict:
-    """Admissible Holder ranges implied by gamma_1."""
+    """Admissible Holder ranges implied by gamma_1, and an exact exponent above it.
+
+    The power density rho^(-alpha) is in L^p exactly when alpha p < 2n, and
+    its exact profile is Holder with exponent min(1, 2 - alpha/m); at the
+    edge of L^p that is ``power_density_exponent``, which gamma_1 cannot
+    exceed.
+    """
     g1 = gamma_exponent(n, m, p, 1.0)
     return {
         "gamma_1": g1,
         "holder_exponent_sup": g1,
         "holder_exponent_sup_high_p": min(0.5, 2.0 * g1),
+        "power_density_exponent": min(1.0, 2.0 - 2.0 * n / (m * p)),
     }

@@ -6,12 +6,20 @@ the package (``BENCH_PINNED``); each must still be referenced by its bench
 file, so the map goes stale, and this test fails, once the benchmark drops
 one.  A private helper left behind when its last caller goes is dead code,
 and has no exceptions.
+
+The other way round, the surface the benchmark reads stays in the package:
+every module attribute a bench file names, the sampling parameters of
+``estimate_modulus`` and ``hessiankit modulus --seed``.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from hessiankit import cli, modulus
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hessiankit"
@@ -84,3 +92,37 @@ def test_bench_pin_is_current(name, bench_file):
     assert not has_src_caller(owners[0], name), f"{name} has a src/ caller; unpin it"
     tree = ast.parse((ROOT / bench_file).read_text())
     assert name in set(referenced_names(tree)), f"{bench_file} no longer uses {name}"
+
+
+BENCH_MODULES = ("modulus", "barrier", "core", "geometry", "radial", "cli")
+
+
+def bench_attributes():
+    """Sorted (bench file, module, attribute) of every ``module.attribute`` in bench/."""
+    found = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in BENCH_MODULES):
+                found.add((path.name, node.value.id, node.attr))
+    return sorted(found)
+
+
+def test_bench_attributes_exist():
+    found = bench_attributes()
+    assert found, "no module attribute found in bench/"
+    missing = [
+        f"{bench_file}: {module}.{attr}" for bench_file, module, attr in found
+        if not hasattr(importlib.import_module(f"hessiankit.{module}"), attr)
+    ]
+    assert missing == []
+
+
+def test_estimate_modulus_keeps_the_sampling_parameters():
+    params = inspect.signature(modulus.estimate_modulus).parameters
+    assert {"seed", "pair_threshold", "pair_budget"} <= set(params)
+
+
+def test_modulus_command_takes_seed():
+    args = cli.build_parser().parse_args(["modulus", "--input", "points.csv", "--seed", "3"])
+    assert args.seed == 3

@@ -69,6 +69,7 @@ class TestGamma:
         assert code == 0
         payload = json_part(out)
         assert payload["result"]["gamma_r"] == pytest.approx(1.0 / 7.0, abs=1e-15)
+        assert payload["result"]["targets"]["power_density_exponent"] == pytest.approx(2.0 / 3.0)
         assert payload["version"]
         assert payload["command"].startswith("hessiankit gamma")
 

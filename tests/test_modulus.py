@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,24 @@ class TestEstimateModulus:
         b = modulus.estimate_modulus(pts, vals, bins=32, seed=9,
                                      pair_threshold=100, pair_budget=20000)
         assert np.array_equal(a.w, b.w)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_pair_budget_rejected(self, budget):
+        x = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(ArgumentError, match="pair_budget"):
+            modulus.estimate_modulus(x, x, bins=4, pair_threshold=10, pair_budget=budget)
+
+    def test_negative_seed_rejected(self):
+        x = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(ArgumentError, match="seed"):
+            modulus.estimate_modulus(x, x, bins=4, seed=-1, pair_threshold=10)
+
+    def test_sampled_path_index_limit(self):
+        # zero-stride views: the limit is checked before any array of n is made
+        n = modulus.PAIR_INDEX_LIMIT + 1
+        x = np.broadcast_to(np.array(0.5), (n,))
+        with pytest.raises(ArgumentError, match="at most"):
+            modulus.estimate_modulus(x, x, bins=4)
 
     def test_too_few_points(self):
         with pytest.raises(ArgumentError):
@@ -331,6 +350,19 @@ class TestFilterPrunes:
         pts, vals = half_holder_cloud(2000, 41)
         pairs = binned(lambda: modulus.estimate_modulus(pts, vals, bins=200))
         assert pairs / (2000 * 1999 // 2) < 0.07  # measured 0.032
+
+
+def test_sampled_path_keeps_one_block_of_draws():
+    # one block of int32 draws is 16 MB; int64 draws with the previous block
+    # still alive peak at 65.1 MB
+    pts, vals = half_holder_cloud(30000, 40)
+    tracemalloc.start()
+    try:
+        modulus.estimate_modulus(pts, vals, bins=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32e6  # measured 23.6 MB
 
 
 class TestConcaveMajorant:

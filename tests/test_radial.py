@@ -473,6 +473,20 @@ class TestGammaExponent:
             assert np.all(np.diff(grid, axis=0) > 0)  # increasing in r
             assert np.all(np.diff(grid, axis=1) > 0)  # increasing in p
 
+    def test_power_density_exponent(self):
+        assert radial.gamma_targets(3, 2, 2.0)["power_density_exponent"] == 0.5
+        assert radial.gamma_targets(2, 1, 1e6)["power_density_exponent"] == 1.0
+
+    def test_gamma_1_never_exceeds_the_power_density_exponent(self):
+        # rho^(-alpha) is in L^p for alpha < 2n/p and its exact profile has
+        # exponent min(1, 2 - alpha/m), so the theorem's gamma_1 cannot pass
+        # that exponent at the edge alpha = 2n/p
+        for n in range(1, 7):
+            for m in range(1, n + 1):
+                for p in n / m * (1.0 + np.geomspace(1e-4, 1e4, 200)):
+                    targets = radial.gamma_targets(n, m, p)
+                    assert targets["gamma_1"] <= targets["power_density_exponent"], (n, m, p)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             radial.gamma_exponent(2, 1, 1.5, 1.0)  # p <= n/m
