@@ -1,9 +1,9 @@
 """Point barriers, sub/supersolution envelopes, and modulus verification.
 
-Construction per boundary point xi, for boundary data phi, density bound
-K1 = sup f^(1/m), base point z0 (the barycenter) and K2 = K1 |xi - z0|^2:
+Construction per boundary point xi, for boundary data phi on a domain
+centred at 0, density bound K1 = sup f^(1/m) and K2 = K1 |xi|^2:
 
-* shifted data      phitilde = phi - K1 |z - z0|^2 + K2
+* shifted data      phitilde = phi - K1 |z|^2 + K2
 * cone quadratic    g(z) = B rho(z) - |z - xi|^2, with B large enough that
                     B hess(rho) - I stays in the cone (so g is m-sh)
 * profile           chi(t) = -omega_bar((-t)^(1/2)), the concave majorant
@@ -13,17 +13,20 @@ K1 = sup f^(1/m), base point z0 (the barycenter) and K2 = K1 |xi - z0|^2:
                     -omega_bar(d) for g < -d^2: the constant extension
                     stays convex nondecreasing, so h is m-sh wherever g is
 * glue              h_xi = max(gamma1 (h - phitilde(xi)) + phitilde(xi),
-                    gamma2) inside B(xi, r1), r1 = d/2, constant gamma2
-                    outside, with gamma2 a lower bound of phitilde on
-                    the boundary and gamma1 large enough that the first
-                    branch drops below gamma2 on the gluing sphere
-* barrier           v_xi = h_xi + K1 |z - z0|^2 - K2.
+                    floor + K2) inside B(xi, r1), r1 = d/2, constant
+                    floor + K2 outside, with floor = inf phi - K1 max|z|^2
+                    over the boundary (so floor + K2 <= phitilde there) and
+                    gamma1 large enough that the first branch drops below
+                    floor + K2 on the gluing sphere
+* barrier           v_xi = h_xi + K1 |z|^2 - K2.
 
-Then v_xi(xi) = phi(xi), v_xi <= phi on the boundary, and the envelope
-v = max over sampled xi is a subsolution agreeing with phi at the samples.
-It keeps its K barriers as parameter arrays, one row per xi, and evaluates
-them in point blocks as one (points x K) matrix.  The supersolution is the
-negated envelope built for -phi.
+B, r1, gamma1, K1 and floor are uniform in xi (K2 cancels from the
+oscillation of phitilde), so every barrier shares the far branch
+floor + K1 |z|^2 and only xi and K2 vary per row.  Then v_xi(xi) = phi(xi),
+v_xi <= phi on the boundary, and the envelope v = max over sampled xi is a
+subsolution agreeing with phi at the samples; its near branches are
+evaluated in point blocks at the pairs inside B(xi, r1).  The
+supersolution is the negated envelope built for -phi.
 
 All inequalities above are exact when the modulus curve supplied with the
 boundary data majorizes the true modulus (the named data sets ship exact
@@ -192,37 +195,36 @@ def psi_example_solution(z):
 # ---------------------------------------------------------------------------
 # Parameter derivation
 
-_PER_POINT = ("gamma1", "gamma2", "K2")
-
 
 @dataclass
 class BarrierParams:
     """Parameters of K point barriers, one row per boundary point xi.
 
-    ``gamma1``, ``gamma2`` and ``K2`` are (K,) arrays and ``xi`` is (K, n);
-    ``B``, ``r1``, ``K1`` and ``z0`` are shared.
+    ``K2`` is a (K,) array and ``xi`` is (K, n); ``B``, ``r1``, ``gamma1``,
+    ``K1`` and the far-branch constant ``floor`` are shared by every row.
     """
 
     B: float
     r1: float
-    gamma1: np.ndarray
-    gamma2: np.ndarray
+    gamma1: float
+    floor: float
     K1: float
     K2: np.ndarray
     xi: np.ndarray
-    z0: np.ndarray
 
     def __len__(self):
         return self.xi.shape[0]
 
     def __getitem__(self, i: int) -> "BarrierParams":
         """The parameters of barrier i alone."""
-        return replace(self, **{name: getattr(self, name)[[i]] for name in (*_PER_POINT, "xi")})
+        return replace(self, K2=self.K2[[i]], xi=self.xi[[i]])
 
     def describe(self) -> dict:
-        """Scalar parameters of a single barrier."""
-        row = {name: getattr(self, name).item() for name in _PER_POINT}
-        return {"B": self.B, "K1": self.K1, "r1": self.r1, **row}
+        """Scalar parameters of the first barrier; gamma2 is its far-branch
+        constant floor + K2."""
+        k2 = self.K2[0].item()
+        return {"B": self.B, "K1": self.K1, "r1": self.r1, "gamma1": self.gamma1,
+                "gamma2": self.floor + k2, "K2": k2}
 
 
 def cone_coefficient(domain: Domain, m: int) -> float:
@@ -242,15 +244,13 @@ def cone_coefficient(domain: Domain, m: int) -> float:
 
 
 def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> ModulusCurve:
-    """Concave majorant valid for phi - K1 |z - z0|^2.
+    """Concave majorant valid for phi - K1 |z|^2.
 
     The quadratic part moves by at most 2 d K1 per unit step, so adding the
     linear term 2 d K1 t to the data curve keeps a certified majorant; the
     hull of the sum is then taken.
     """
     base = data.omega_phi
-    if k1 == 0.0:
-        return concave_majorant(base)
     lifted = ModulusCurve(base.t, base.w + 2.0 * diameter * k1 * base.t)
     return concave_majorant(lifted)
 
@@ -266,7 +266,7 @@ BLOCK_ELEMENTS = 2**17
 class BarrierEnvelope:
     """Pointwise maximum of K point barriers; the constructed subsolution.
 
-    ``barriers`` holds the parameters of all K barriers as arrays and
+    ``barriers`` holds the parameters of all K barriers and
     ``phi_xi`` the (K,) data values at their boundary points.
     """
 
@@ -284,11 +284,9 @@ class BarrierEnvelope:
         """Yield (rows, far, near) over point blocks of the (points, n) array z.
 
         ``near`` is the (points, K) matrix of near-field branches, -inf
-        outside B(xi, r1); ``far`` is the max of the K copies of the far
-        branch gamma2 + K1 |z - z0|^2 - K2, which differ only by rounding.
-        The near branch is evaluated only at the (point, barrier) pairs
-        inside B(xi, r1), with the same operations per pair as on the
-        whole matrix.
+        outside B(xi, r1); ``far`` is the (points,) far branch
+        floor + K1 |z|^2 that every barrier shares.  The near branch is
+        evaluated only at the (point, barrier) pairs inside B(xi, r1).
         """
         p = self.barriers
         bar = self.omega_bar
@@ -301,15 +299,15 @@ class BarrierEnvelope:
             s = sum(np.abs(zb[:, j, None] - p.xi[:, j]) ** 2 for j in range(zb.shape[1]))
             rho = self.domain.rho(zb)
             rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
-            quad = (p.K1 * (np.abs(zb - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
+            sz = p.K1 * (np.abs(zb) ** 2).sum(axis=-1)
             i, k = np.nonzero(s < r1_sq)
             neg_g = np.maximum(s[i, k] - (p.B * rho)[i], 0.0)
             # omega_bar held at its last value past its last knot keeps chi
             # convex nondecreasing
             chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
             near = np.full(s.shape, -np.inf)
-            near[i, k] = (p.gamma1[k] * chi + self.phi_xi[k]) + quad[i, k]
-            yield rows, (p.gamma2 + quad).max(axis=1), near
+            near[i, k] = (p.gamma1 * chi + self.phi_xi[k]) + (sz[i] - p.K2[k])
+            yield rows, p.floor + sz, near
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
@@ -361,35 +359,41 @@ class NegatedEnvelope:
 # Builders
 
 
+def _density_root(f_sup: float, m: int, domain: Domain) -> float:
+    """K1 = f_sup^(1/m), once m and the density bound are checked."""
+    if not 1 <= m <= domain.n:
+        raise ArgumentError(f"m={m} out of range for n={domain.n}")
+    if not (math.isfinite(f_sup) and f_sup >= 0):
+        raise ArgumentError(f"f_sup must be finite and >= 0, got {f_sup}")
+    return f_sup ** (1.0 / m)
+
+
 def _envelope(xis, data: BoundaryData, domain: Domain, m: int,
               f_sup: float) -> BarrierEnvelope:
     """Envelope of the barriers at the boundary points xis (K, n).
 
-    Checks the density bound and derives every barrier parameter; row i
-    depends only on its own xi.
+    Checks m and the density bound and derives every barrier parameter;
+    row i depends only on its own xi.
     """
-    if not (math.isfinite(f_sup) and f_sup >= 0):
-        raise ArgumentError(f"f_sup must be finite and >= 0, got {f_sup}")
+    k1 = _density_root(f_sup, m, domain)
     d = domain.diameter
-    k1 = f_sup ** (1.0 / m) if f_sup > 0 else 0.0
     omega_bar = shifted_modulus_majorant(data, k1, d)
     b_coeff = cone_coefficient(domain, m)
     r1 = 0.5 * d
 
-    k2 = k1 * (np.abs(xis) ** 2).sum(axis=-1)
     rmin, rmax = domain.boundary_radius_range()
-    gamma2 = data.inf_phi - k1 * rmax**2 + k2
-    sup_shifted = data.sup_phi - k1 * rmin**2 + k2
-    osc = np.maximum(sup_shifted - gamma2, 0.0)
-    bar_r1 = omega_bar(r1)
-    # the first branch must drop below gamma2 on the gluing sphere
-    lift = np.divide(osc, bar_r1, out=np.zeros_like(osc), where=bar_r1 > 0.0)
+    floor = data.inf_phi - k1 * rmax**2
+    # the oscillation of phitilde on the boundary; K2 cancels from it
+    osc = max((data.sup_phi - k1 * rmin**2) - floor, 0.0)
+    bar_r1 = float(omega_bar(r1))
+    # the first branch must drop below floor + K2 on the gluing sphere
+    lift = osc / bar_r1 if bar_r1 > 0.0 else 0.0
     # 5 % above the bound: where omega_bar(r1) > 0 the first branch ends
-    # strictly below gamma2 on the gluing sphere, with room for rounding
-    gamma1 = np.maximum(d / r1, lift) * 1.05
+    # strictly below floor + K2 on the gluing sphere, with room for rounding
+    gamma1 = 1.05 * max(d / r1, lift)
 
-    params = BarrierParams(B=b_coeff, r1=r1, gamma1=gamma1, gamma2=gamma2,
-                           K1=k1, K2=k2, xi=xis, z0=domain.barycenter)
+    params = BarrierParams(B=b_coeff, r1=r1, gamma1=gamma1, floor=floor, K1=k1,
+                           K2=k1 * (np.abs(xis) ** 2).sum(axis=-1), xi=xis)
     phi_xi = np.asarray(data.phi(xis), dtype=float)
     return BarrierEnvelope(params, phi_xi, omega_bar, domain, m)
 
@@ -514,7 +518,7 @@ def verify_modulus_bound(
     edges = np.geomspace(1e-4 * d, d, bins)
     curve = estimate_modulus(reals, vals, bins=edges, t_max=d)
 
-    factor = 1.0 + (f_sup_norm ** (1.0 / m) if f_sup_norm > 0 else 0.0)
+    factor = 1.0 + _density_root(f_sup_norm, m, domain)
     t = curve.t[1:]
     w = curve.w[1:]
     omega_at_sqrt = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
@@ -538,8 +542,6 @@ def verify_modulus_bound(
     counts = {"grid": int(pts.shape[0]), "anchors": n_anch, "bins": int(bins)}
     if isinstance(v, BarrierEnvelope):
         counts["xi"] = len(v.barriers)
-    elif isinstance(v, NegatedEnvelope):
-        counts["xi"] = len(v.inner.barriers)
     return BarrierReport(
         eta_fitted=eta,
         lambda_bound=eta * factor,

@@ -78,10 +78,6 @@ class Domain:
             return 2.0 * self.radius
         return 2.0 / math.sqrt(min(self.coeffs))
 
-    @property
-    def barycenter(self) -> np.ndarray:
-        return np.zeros(self.n, dtype=complex)
-
     def boundary_radius_range(self) -> tuple[float, float]:
         """Min and max of |z| over the boundary."""
         if self.kind == "ball":

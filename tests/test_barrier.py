@@ -105,6 +105,16 @@ class TestPointBarrier:
         with pytest.raises(ArgumentError):
             barrier.build_subsolution(data, None, BALL, m=2, xi_count=10, seed=1, f_sup=f_sup)
 
+    @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
+    def test_invalid_density_bound_rejected_by_verification(self, f_sup):
+        # the bound enters the reported lambda_bound, so it is checked there too
+        data = barrier.boundary_psi_sqrt(BALL)
+        with pytest.raises(ArgumentError, match="f_sup must be finite and >= 0"):
+            barrier.verify_modulus_bound(
+                barrier.psi_example_solution, data, BALL, m=2, f_sup_norm=f_sup,
+                grid=400, bins=20, seed=1,
+            )
+
     def test_density_without_bound_rejected(self):
         # a sampled maximum of f would undercut its supremum
         data = barrier.boundary_re_z1(BALL)
@@ -127,7 +137,7 @@ class TestPointBarrier:
             denom = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
             c_fit = float(np.max(w / denom))
             p = vb.barriers
-            c_bound = p.gamma1[0] * (1.0 + math.sqrt(2.0 * BALL.diameter + p.B * lip_rho))
+            c_bound = p.gamma1 * (1.0 + math.sqrt(2.0 * BALL.diameter + p.B * lip_rho))
             assert c_fit <= c_bound
 
     @pytest.mark.parametrize(
@@ -141,10 +151,10 @@ class TestPointBarrier:
         density = ones_density if f_sup > 0 else None
         few = barrier.build_subsolution(data, density, dom, m=2, xi_count=10, seed=60, f_sup=f_sup)
         many = barrier.build_subsolution(data, density, dom, m=2, xi_count=40, seed=60, f_sup=f_sup)
-        for name in ("gamma1", "gamma2", "K2", "xi"):
+        for name in ("K2", "xi"):
             assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name)[:10])
         assert np.array_equal(few.phi_xi, many.phi_xi[:10])
-        for name in ("B", "r1", "K1", "z0"):
+        for name in ("B", "r1", "K1", "gamma1", "floor"):
             assert np.array_equal(getattr(few.barriers, name), getattr(many.barriers, name))
         assert few.omega_bar == many.omega_bar
 
@@ -272,9 +282,9 @@ def dense_branches(env, z):
     rho = np.where(np.abs(rho) < barrier.RHO_SNAP, 0.0, rho)
     neg_g = np.maximum(s - (p.B * rho)[:, None], 0.0)
     chi = -np.interp(np.minimum(np.sqrt(neg_g), bar.length), bar.t, bar.w)
-    quad = (p.K1 * (np.abs(z - p.z0) ** 2).sum(axis=-1))[:, None] - p.K2
-    near = np.where(s < p.r1 * p.r1, p.gamma1 * chi + env.phi_xi, -np.inf) + quad
-    return (p.gamma2 + quad).max(axis=1), near
+    sz = p.K1 * (np.abs(z) ** 2).sum(axis=-1)
+    near = np.where(s < p.r1 * p.r1, p.gamma1 * chi + env.phi_xi, -np.inf) + (sz[:, None] - p.K2)
+    return p.floor + sz, near
 
 
 def assert_matches_dense(env, pts):
@@ -405,15 +415,21 @@ class TestOtherConfigurations:
         assert np.max(env(grid) - grid[:, 0].real) <= 1e-8
 
     def test_estimated_data_envelope_floor(self):
-        # away from the boundary collar the envelope sits at the far-branch
-        # constant, the sampled infimum of the data
+        # away from the boundary collar the envelope sits on the far branch
+        # floor + K1 |z|^2 shared by every barrier, floor = inf phi - K1 max|z|^2
+        # on the boundary; with f = 0 that is the sampled infimum of the data
         data = barrier.boundary_from_samples(
             lambda z: np.asarray(z)[..., 0].real ** 2, BALL, samples=600, seed=6
         )
-        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=40, seed=7)
         pts = geometry.sample_interior(BALL, 400, seed=9)
         deep = pts[np.abs(BALL.rho(pts)) > 0.5]
-        assert np.all(env(deep) == data.inf_phi)
+        rmax = BALL.boundary_radius_range()[1]
+        for density, f_sup in ((None, 0.0), (ones_density, 1.0)):
+            env = barrier.build_subsolution(data, density, BALL, m=2, xi_count=40, seed=7, f_sup=f_sup)
+            k1 = env.barriers.K1
+            assert k1 == math.sqrt(f_sup)
+            far = (data.inf_phi - k1 * rmax**2) + k1 * (np.abs(deep) ** 2).sum(axis=-1)
+            assert np.array_equal(env(deep), far)
 
 
 class TestProbes:

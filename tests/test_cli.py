@@ -221,6 +221,35 @@ class TestBarrierCommand:
         ])
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("density", ["zero", "const:1"])
+    def test_cone_order_out_of_range_exits_2(self, capsys, density):
+        # m is checked before the density bound's m-th root is taken
+        code = cli.main([
+            "barrier", "--n", "2", "--m", "0", "--f", density,
+            "--xi-samples", "5", "--grid", "300", "--bins", "20",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "m=0 out of range" in captured.err
+
+    def test_density_run_reports_first_barrier(self, capsys):
+        code, out = run_cli(capsys, [
+            "barrier", "--n", "2", "--m", "2", "--f", "const:1", "--xi-samples", "15",
+            "--grid", "400", "--bins", "20", "--seed", "42",
+        ])
+        assert code == 0
+        first = json_part(out)["result"]["params_first"]
+        assert sorted(first) == ["B", "K1", "K2", "gamma1", "gamma2", "r1"]
+        from hessiankit import barrier, geometry
+        ball = geometry.Domain.ball(2)
+        ones = lambda z: np.ones(np.asarray(z).shape[0])
+        env = barrier.build_subsolution(
+            barrier.boundary_re_z1(ball), ones, ball, m=2, xi_count=15, seed=42, f_sup=1.0
+        )
+        p = env.barriers
+        assert first["K1"] == p.K1 == 1.0 and first["gamma1"] == p.gamma1
+        assert first["K2"] == p.K2[0] and first["gamma2"] == p.floor + p.K2[0]
+
     @pytest.mark.parametrize("name", ["bins", "grid"])
     def test_single_bin_or_grid_point_exits_2(self, capsys, name):
         code = cli.main([
