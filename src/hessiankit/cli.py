@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -108,9 +109,14 @@ def cmd_garding(args) -> int:
 
 def cmd_modulus(args) -> int:
     try:
-        rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on a file without data rows; that is an error below
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read input CSV {args.input!r}: {exc}") from None
+    if rows.shape[0] == 0:
+        raise ArgumentError("input CSV has no data rows")
     if rows.shape[1] < 2:
         raise ArgumentError("input CSV needs coordinate columns plus a value column")
     points = rows[:, :-1]

@@ -27,6 +27,8 @@ PAIR_INDEX_LIMIT = 2**30
 FILTER_SLICE = 2**16
 # uniform cells of squared distance in that lower bound
 CELLS = 4096
+# points per kd leaf on the exact path, whose pairs are bounded leaf by leaf
+LEAF = 32
 
 
 class ModulusCurve:
@@ -127,7 +129,12 @@ def estimate_modulus(
 
     A pair whose gap cannot raise the running maximum at its bin is skipped
     by a lower-bound filter (``_RunningCurve``); the curve is bit for bit
-    the one of binning every pair.
+    the one of binning every pair.  On the exact path the points go into
+    kd-leaf order (``_leaf_order``) and each leaf of ``LEAF`` points meets
+    every point up to its end.  A point is first tested against the whole
+    leaf, with its separation from the leaf's bounding box and its largest
+    gap to the leaf's value range; only the points that pass form pairs
+    with the leaf.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -168,16 +175,30 @@ def estimate_modulus(
     # coordinates get one zero coordinate
     cols = np.ascontiguousarray(pts.T) if pts.shape[1] else np.zeros((1, n))
     if n <= pair_threshold:
-        block = max(1, FILTER_SLICE // n)
-        for a in range(0, n - 1, block):
-            b = min(a + block, n - 1)
-            # row block against columns a onward. Pairs inside the block come
+        order = _leaf_order(cols)
+        vals, cols = vals[order], cols[:, order]
+        # rows per block, half a slice of pairs: more of the pairs of rows
+        # that pass a leaf bound reach exact binning than of an unfiltered slice
+        step = FILTER_SLICE // (2 * LEAF)
+        for s in range(0, n, LEAF):
+            e = min(s + LEAF, n)
+            # points 0..e-1 against the leaf s..e-1 cover every pair once
+            # with its later point in the leaf; pairs inside the leaf come
             # twice with the same bits, and the zero diagonal adds gap 0 to
-            # the first bin, so neither raises the curve.
-            gaps = np.abs(vals[a:b, None] - vals[None, a:])
-            diffs = (col[a:b, None] - col[None, a:] for col in cols)
-            r, c = np.nonzero(curve.may_raise(gaps, diffs))
-            curve.add(pts, a + r, a + c, gaps[r, c])
+            # the first bin, so neither raises the curve
+            lo, hi = cols[:, s:e].min(axis=1), cols[:, s:e].max(axis=1)
+            vlo, vhi = vals[s:e].min(), vals[s:e].max()
+            bound = np.maximum(vhi - vals[:e], vals[:e] - vlo)
+            seps = (np.maximum(np.maximum(l - col[:e], col[:e] - h), 0.0)
+                    for col, l, h in zip(cols, lo, hi))
+            # only points whose bound can beat the floor meet the leaf
+            rows = np.flatnonzero(curve.may_raise(bound, seps))
+            for a in range(0, rows.size, step):
+                r = rows[a : a + step]
+                gaps = np.abs(vals[r, None] - vals[None, s:e])
+                diffs = (col[r, None] - col[None, s:e] for col in cols)
+                ri, ci = np.nonzero(curve.may_raise(gaps, diffs))
+                curve.add(pts, order[r[ri]], order[s + ci], gaps[ri, ci])
     else:
         rng = np.random.default_rng(seed)
         remaining = int(pair_budget)
@@ -217,6 +238,13 @@ class _RunningCurve:
     the filter drops has a gap no larger than the curve already holds at its
     bin, so the final curve is bit for bit the one of binning every pair.
     Survivors are binned with the exact expressions.
+
+    ``may_raise`` also tests a point against a box of points: per-coordinate
+    separations max(lo - x, x - hi, 0) and the gap bound max(vmax - v,
+    v - vmin).  Rounding is monotone, so every pair's filter d2 lands in a
+    cell at or above the box's and its gap is at most the bound; the floor
+    is nondecreasing in the cell, so a point the box test drops has no pair
+    the filter would keep.
     """
 
     def __init__(self, edges):
@@ -260,6 +288,29 @@ class _RunningCurve:
 
     def _refresh(self):
         self.floor = np.append(np.maximum.accumulate(self.sup), np.inf).take(self.cell_bin)
+
+
+def _leaf_order(cols):
+    """Permutation of the points (columns of ``cols``) into kd-leaf order.
+
+    Each segment of more than ``LEAF`` points is split on its widest
+    coordinate, the lower part taking half its leaves, so every leaf but
+    the last is ``LEAF`` consecutive points starting at a multiple of
+    ``LEAF``.
+    """
+    n = cols.shape[1]
+    order = np.arange(n)
+    stack = [(0, n)]
+    while stack:
+        a, b = stack.pop()
+        if b - a <= LEAF:
+            continue
+        seg = cols[:, order[a:b]]
+        axis = int(np.argmax(seg.max(axis=1) - seg.min(axis=1)))
+        half = LEAF * (-(-(b - a) // LEAF) // 2)
+        order[a:b] = order[a:b][np.argpartition(seg[axis], half)]
+        stack += [(a, a + half), (a + half, b)]
+    return order
 
 
 def _diameter_estimate(pts) -> float:

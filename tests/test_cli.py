@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,16 @@ class TestModulusCommand:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "t_max must be positive" in captured.err
+
+    def test_header_only_csv_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("x1,x2,value\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning leaks to stderr
+            code = cli.main(["modulus", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "input CSV has no data rows" in captured.err
 
     def test_nan_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "points.csv"

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hessiankit import modulus
+from hessiankit import barrier, modulus
 from hessiankit.errors import ArgumentError, ExtrapolationError
+from hessiankit.geometry import Domain
 from hessiankit.modulus import ModulusCurve
 
 
@@ -168,53 +169,104 @@ def pairwise_modulus(pts, vals, edges):
     return np.concatenate(([0.0], np.maximum.accumulate(sup)))
 
 
+def edge_sets(pts):
+    """(bins, edges) for linear, geometric and single-bin edges."""
+    diameter = modulus._diameter_estimate(pts)
+    geometric = np.geomspace(1e-3, 0.5 * diameter, 25)
+    return ((30, np.linspace(0.0, diameter, 31)[1:]), (geometric, geometric),
+            (1, np.array([diameter])))
+
+
+LEAF = modulus.LEAF
+
+
 class TestExactPairsAgainstReference:
-    @pytest.mark.parametrize("count, dim", [(2, 1), (17, 1), (80, 2), (60, 4), (50, 8), (50, 9)])
+    @pytest.mark.parametrize("count, dim", [
+        (2, 1), (17, 1), (80, 2), (60, 4), (50, 8), (50, 9),
+        (3 * LEAF - 1, 3), (3 * LEAF + 1, 2), (3 * LEAF - 1, 8), (3 * LEAF + 1, 9),
+    ])
     def test_linear_and_geometric_edges(self, count, dim):
         rng = np.random.default_rng(count + dim)
         pts = rng.random((count, dim))
         pts[count // 2 :: 5] = pts[0]  # duplicate points: zero distance, nonzero gaps
         vals = np.sin(4.0 * pts.sum(axis=1)) + 0.1 * rng.standard_normal(count)
-        diameter = modulus._diameter_estimate(pts)
-        linear = np.linspace(0.0, diameter, 31)[1:]
-        geometric = np.geomspace(1e-3, 0.5 * diameter, 25)
-        for bins, edges in ((30, linear), (geometric, geometric)):
+        for bins, edges in edge_sets(pts):
             curve = modulus.estimate_modulus(pts, vals, bins=bins)
             assert np.array_equal(curve.t[1:], edges)
             assert np.array_equal(curve.w, pairwise_modulus(pts, vals, edges))
 
+    @pytest.mark.parametrize("case", [
+        "identical", "one_dimensional", "no_coordinates", "zero_coordinates", "lattice",
+    ])
+    def test_inputs_awkward_for_the_leaf_order(self, case):
+        # zero-width splits, a single axis, no axis, signed zeros and
+        # duplicates whose gaps tie: the kd order and the leaf bound must
+        # still give the curve of every pair
+        rng = np.random.default_rng(50)
+        n = 2 * LEAF + 1
+        vals = np.cos(7.0 * rng.random(n))
+        if case == "identical":
+            pts = np.full((n, 3), 0.25)
+        elif case == "one_dimensional":
+            pts = rng.random(n)
+            vals = np.sqrt(pts)
+        elif case == "no_coordinates":
+            pts = np.zeros((n, 0))
+        elif case == "zero_coordinates":
+            pts = rng.random((n, 3))
+            pts[:, 1] = 0.0
+            pts[::3, 1] = -0.0
+            pts[::4] = 0.0
+        else:
+            n = 150
+            pts = np.round(rng.random((n, 2)), 1)  # a lattice: many duplicates
+            vals = np.round(pts[:, 0] - 2.0 * pts[:, 1], 1)  # few distinct gaps
+        ref_pts = pts.reshape(n, -1)
+        for bins, edges in edge_sets(ref_pts):
+            curve = modulus.estimate_modulus(pts, vals, bins=bins)
+            assert np.array_equal(curve.w, pairwise_modulus(ref_pts, vals, edges))
+
     def test_several_row_blocks(self):
-        # 1,500 points take two row blocks; every pair i < j, vectorized
+        # 1,500 points in 47 leaves; every pair i < j, vectorized.  An outlier
+        # value at the top corner sorts into the last leaf, whose bound then
+        # keeps all 1,500 points: two blocks of rows.
         rng = np.random.default_rng(8)
         pts = rng.random((1500, 2))
         pts[700] = pts[1400]
         vals = np.cos(3.0 * pts[:, 0]) * pts[:, 1]
         edges = np.geomspace(1e-4, 1.0, 60)
-        i, j = np.triu_indices(1500, k=1)
-        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
-        keep = dist <= edges[-1]
-        sup = np.zeros(edges.size)
-        np.maximum.at(sup, np.searchsorted(edges, dist[keep]), np.abs(vals[i] - vals[j])[keep])
-        curve = modulus.estimate_modulus(pts, vals, bins=edges)
-        assert np.array_equal(curve.w, np.concatenate(([0.0], np.maximum.accumulate(sup))))
+        for pts, vals in ((pts, vals), (np.vstack((pts, [[1.5, 1.5]])), np.append(vals, 100.0))):
+            n = len(vals)
+            i, j = np.triu_indices(n, k=1)
+            dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
+            keep = dist <= edges[-1]
+            sup = np.zeros(edges.size)
+            np.maximum.at(sup, np.searchsorted(edges, dist[keep]), np.abs(vals[i] - vals[j])[keep])
+            curve = modulus.estimate_modulus(pts, vals, bins=edges)
+            assert np.array_equal(curve.w, np.concatenate(([0.0], np.maximum.accumulate(sup))))
 
     def test_pair_at_an_edge_across_a_cell_boundary(self):
         # The pair (0, edge) lies exactly on the first edge, so in bin 0, but
         # with these two edges its d2 * scale rounds up to a whole cell whose
         # lower end is above edge^2: only the one-cell margin keeps the pair.
-        # It sits in the last row block, after a far cluster of slope
-        # 0.9 / edge has raised bin 1 to 0.9 big_edge / edge > 1, so a bound
-        # read at the wrong bin drops its gap 1.
+        # With the far cluster of slope 0.9 / edge below 0 (side -1) the
+        # pair's points sort into the last leaf, so the cluster has raised
+        # bin 1 to 0.9 big_edge / edge > 1 before the pair is filtered, and a
+        # bound read at the wrong bin drops its gap 1.  Above 0 the pair is in
+        # the first leaf and is filtered before the cluster.
         big_edge, edge = 2.6232252151851294, 1.9886521932117869
         n = 400
-        pts = 1000.0 + 0.99 * big_edge * np.linspace(0.0, 1.0, n)
-        vals = 0.9 / edge * (pts - 1000.0)
-        pts[-2:], vals[-2:] = (0.0, edge), (0.0, 1.0)
         edges = np.array([edge, big_edge])
-        curve = modulus.estimate_modulus(pts, vals, bins=edges)
-        assert modulus.FILTER_SLICE // n < n - 2  # the pair is not in the first block
-        assert np.array_equal(curve.w, pairwise_modulus(pts[:, None], vals, edges))
-        assert curve.w[1] == 1.0
+        for side in (1.0, -1.0):
+            pts = side * (1000.0 + 0.99 * big_edge * np.linspace(0.0, 1.0, n))
+            vals = 0.9 / edge * (side * pts - 1000.0)
+            pts[-2:], vals[-2:] = (0.0, edge), (0.0, 1.0)
+            curve = modulus.estimate_modulus(pts, vals, bins=edges)
+            assert modulus.FILTER_SLICE // n < n - 2  # more pairs than one filter slice
+            last_leaf = modulus._leaf_order(pts[None, :])[(n - 1) // LEAF * LEAF :]
+            assert ({n - 2, n - 1} <= set(last_leaf)) == (side < 0)
+            assert np.array_equal(curve.w, pairwise_modulus(pts[:, None], vals, edges))
+            assert curve.w[1] == 1.0
 
 
 def sampled_modulus(pts, vals, edges, seed, pair_budget):
@@ -350,6 +402,81 @@ class TestFilterPrunes:
         pts, vals = half_holder_cloud(2000, 41)
         pairs = binned(lambda: modulus.estimate_modulus(pts, vals, bins=200))
         assert pairs / (2000 * 1999 // 2) < 0.07  # measured 0.032
+
+
+class TestLeafBound:
+    """The exact path sends a pair to the per-pair filter only from a point
+    that the bound on its leaf keeps."""
+
+    @pytest.fixture
+    def filtered(self, monkeypatch):
+        """Pairs that reach the per-pair filter (its 2-d calls) in one call."""
+        pairs = [0]
+        may_raise = modulus._RunningCurve.may_raise
+
+        def counted(curve, gaps, diffs):
+            if gaps.ndim == 2:
+                pairs[0] += gaps.size
+            return may_raise(curve, gaps, diffs)
+
+        monkeypatch.setattr(modulus._RunningCurve, "may_raise", counted)
+
+        def count(call):
+            pairs[0] = 0
+            call()
+            return pairs[0]
+
+        return count
+
+    def test_barrier_grid(self, filtered):
+        # the shape of verify_modulus_bound on the psi_sqrt envelope
+        ball = Domain.ball(2, 1.0)
+        data = barrier.boundary_psi_sqrt(ball)
+        env = barrier.build_subsolution(data, None, ball, m=2, xi_count=150, seed=1)
+        grid = barrier.verification_grid(ball, 5000, 1, anchors=data.anchors)
+        reals = np.concatenate([grid.real, grid.imag], axis=1)
+        vals = env(grid)
+        edges = np.geomspace(2e-4, 2.0, 160)
+        pairs = filtered(lambda: modulus.estimate_modulus(reals, vals, bins=edges))
+        assert pairs / (5000 * 4999 // 2) < 0.20  # measured 0.072
+
+    def test_leaf_box_at_an_edge_across_a_cell_boundary(self):
+        # The point 0 ends the leaf before the last, whose box starts at
+        # edge: the separation is edge exactly, and d2 * scale rounds up to a
+        # whole cell whose lower end is above edge^2.  The far cluster below
+        # 0 has raised bin 1 to 0.9 big_edge / edge > 1 by then, so a leaf
+        # bound read one cell higher drops the point and the pair's gap 1.
+        big_edge, edge = 2.6232252151851294, 1.9886521932117869
+        n = 12 * LEAF
+        pts = np.concatenate((-1000.0 - 0.99 * big_edge * np.linspace(0.0, 1.0, n - 1),
+                              [0.0, edge], 1e6 + np.arange(LEAF - 1.0)))
+        vals = np.concatenate((0.9 / edge * (-pts[: n - 1] - 1000.0), [0.0, 1.0],
+                               np.zeros(LEAF - 1)))
+        edges = np.array([edge, big_edge])
+        assert set(modulus._leaf_order(pts[None, :])[n:]) == set(range(n, n + LEAF))
+        curve = modulus.estimate_modulus(pts, vals, bins=edges)
+        assert np.array_equal(curve.w, pairwise_modulus(pts[:, None], vals, edges))
+        assert curve.w[1] == 1.0
+
+    def test_constant_values_form_no_pair(self, filtered):
+        # no gap can beat a floor of 0, so the leaf bound keeps no point
+        rng = np.random.default_rng(51)
+        pts = rng.random((3 * LEAF + 1, 3))
+        assert filtered(lambda: modulus.estimate_modulus(pts, np.full(3 * LEAF + 1, 2.0))) == 0
+
+    def test_memory_is_blocked(self):
+        # rows of a leaf go to the per-pair filter in blocks of half a slice;
+        # on this cloud one block per leaf peaks at 19.7 MB
+        rng = np.random.default_rng(42)
+        pts = rng.uniform(-1.0, 1.0, (20000, 4))
+        vals = np.sqrt(np.sqrt(((pts - rng.uniform(-0.5, 0.5, 4)) ** 2).sum(axis=1)))
+        tracemalloc.start()
+        try:
+            modulus.estimate_modulus(pts, vals, bins=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6  # measured 2.6 MB
 
 
 def test_sampled_path_keeps_one_block_of_draws():
