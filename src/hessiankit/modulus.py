@@ -25,8 +25,9 @@ PAIR_BLOCK = 2_000_000
 PAIR_INDEX_LIMIT = 2**30
 # pairs per filter slice; the curve's lower bound is refreshed after each
 FILTER_SLICE = 2**16
-# uniform cells of squared distance in that lower bound
-CELLS = 4096
+# that lower bound is kept per cell of d2, read from the top bits of d2:
+# 2^(52 - SHIFT) = 256 cells per octave
+SHIFT = 44
 # points per kd leaf on the exact path, whose pairs are bounded leaf by leaf
 LEAF = 32
 
@@ -127,14 +128,15 @@ def estimate_modulus(
     ``bins`` may be a count (linear bins) or an ascending array of positive
     bin right-edges, e.g. geometric edges when small separations matter.
 
-    A pair whose gap cannot raise the running maximum at its bin is skipped
-    by a lower-bound filter (``_RunningCurve``); the curve is bit for bit
-    the one of binning every pair.  On the exact path the points go into
-    kd-leaf order (``_leaf_order``) and each leaf of ``LEAF`` points meets
-    every point up to its end.  A point is first tested against the whole
-    leaf, with its separation from the leaf's bounding box and its largest
-    gap to the leaf's value range; only the points that pass form pairs
-    with the leaf.
+    A pair's distance is sqrt(d2), with d2 its squared coordinate
+    differences summed in coordinate order.  A pair whose gap cannot raise
+    the running maximum at its bin is skipped by a lower-bound filter
+    (``_RunningCurve``) on the same d2; the curve is bit for bit the one of
+    binning every pair.  On the exact path the points go into kd-leaf order
+    (``_leaf_order``) and each leaf of ``LEAF`` points meets every point up
+    to its end.  A point is first tested against the whole leaf, with its
+    separation from the leaf's bounding box and its largest gap to the
+    leaf's value range; only the points that pass form pairs with the leaf.
     """
     pts = np.asarray(points, dtype=float)
     vals = np.asarray(values, dtype=float)
@@ -171,8 +173,8 @@ def estimate_modulus(
         raise ArgumentError("bin edges must be finite")
 
     curve = _RunningCurve(edges)
-    # one contiguous row per coordinate for the filter's d2; points without
-    # coordinates get one zero coordinate
+    # one contiguous row per coordinate for d2; points without coordinates
+    # get one zero coordinate
     cols = np.ascontiguousarray(pts.T) if pts.shape[1] else np.zeros((1, n))
     if n <= pair_threshold:
         order = _leaf_order(cols)
@@ -192,13 +194,11 @@ def estimate_modulus(
             seps = (np.maximum(np.maximum(l - col[:e], col[:e] - h), 0.0)
                     for col, l, h in zip(cols, lo, hi))
             # only points whose bound can beat the floor meet the leaf
-            rows = np.flatnonzero(curve.may_raise(bound, seps))
+            rows = np.flatnonzero(curve.may_raise(bound, _square_sum(seps)))
             for a in range(0, rows.size, step):
                 r = rows[a : a + step]
                 gaps = np.abs(vals[r, None] - vals[None, s:e])
-                diffs = (col[r, None] - col[None, s:e] for col in cols)
-                ri, ci = np.nonzero(curve.may_raise(gaps, diffs))
-                curve.add(pts, order[r[ri]], order[s + ci], gaps[ri, ci])
+                curve.add(gaps, _square_sum(col[r, None] - col[None, s:e] for col in cols))
     else:
         rng = np.random.default_rng(seed)
         remaining = int(pair_budget)
@@ -214,15 +214,24 @@ def estimate_modulus(
                 ii = i[s : s + FILTER_SLICE].astype(np.intp)
                 jj = j[s : s + FILTER_SLICE].astype(np.intp)
                 gaps = np.abs(vals[ii] - vals[jj])
-                diffs = (col[ii] - col[jj] for col in cols)
-                keep = np.flatnonzero(curve.may_raise(gaps, diffs))
-                curve.add(pts, ii[keep], jj[keep], gaps[keep])
+                curve.add(gaps, _square_sum(col[ii] - col[jj] for col in cols))
             del i, j  # before the next draw
             remaining -= m
 
-    w = np.maximum.accumulate(curve.sup)
+    w = np.maximum.accumulate(curve.sup[:-1])
     t = np.concatenate(([0.0], edges))
     return ModulusCurve(t, np.concatenate(([0.0], w)))
+
+
+def _square_sum(diffs):
+    """d2 of pairs whose differences ``diffs`` yields one coordinate at a
+    time: squared and summed in place, in coordinate order."""
+    with np.errstate(over="ignore", under="ignore"):
+        d2 = None
+        for diff in diffs:
+            np.square(diff, out=diff)
+            d2 = diff if d2 is None else np.add(d2, diff, out=d2)
+    return d2
 
 
 class _RunningCurve:
@@ -230,64 +239,48 @@ class _RunningCurve:
 
     After the running maximum, the curve at bin k is the largest gap of a
     pair in bins 0..k, so a pair can raise it only if its gap beats the
-    running maximum at its own bin.  ``floor[c]`` is a lower bound of that
-    running maximum for every pair whose filter d2 lands in cell c of
-    ``CELLS`` uniform cells of squared distance: it is read at the bin of
-    the previous cell's lower end, and that one-cell margin covers the
-    rounding gap between the filter's d2 and the exact distance.  A pair
-    the filter drops has a gap no larger than the curve already holds at its
-    bin, so the final curve is bit for bit the one of binning every pair.
-    Survivors are binned with the exact expressions.
+    running maximum at its own bin.  Non-negative doubles order like their
+    bits, so the cell ``d2.view(np.int64) >> SHIFT`` is monotone in d2.
+    The cells run from that of edges[0]^2 / 4, in bin 0, to that of
+    4 edges[-1]^2 (+inf when it overflows), past the last edge; a d2
+    outside reads the end cell.  ``floor[c]`` is the running maximum at the
+    bin of cell c's lower end, and d2 -> sqrt(d2) -> bin is monotone, so a
+    pair the filter drops has a gap no larger than the curve already holds
+    at its bin: the final curve is bit for bit the one of binning every
+    pair.  Survivors are binned at sqrt(d2).
 
-    ``may_raise`` also tests a point against a box of points: per-coordinate
+    ``may_raise`` also tests a point against a box of points: the d2 of its
     separations max(lo - x, x - hi, 0) and the gap bound max(vmax - v,
-    v - vmin).  Rounding is monotone, so every pair's filter d2 lands in a
-    cell at or above the box's and its gap is at most the bound; the floor
-    is nondecreasing in the cell, so a point the box test drops has no pair
-    the filter would keep.
+    v - vmin).  Rounding is monotone, so every pair's d2 is at least the
+    box's and its gap at most the bound; the floor is nondecreasing in the
+    cell, so a point the box test drops has no pair the filter would keep.
     """
 
     def __init__(self, edges):
         self.edges = edges
-        self.sup = np.zeros(edges.size)
-        big = np.finfo(float).max
-        with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            scale = CELLS / edges[-1] ** 2
-            # kept finite and normal, so d2 * scale is never nan
-            self.scale = float(np.clip(scale, np.finfo(float).tiny, big))
-            # a filter d2 of inf comes from an exact d2 of at least big / 2
-            lo = np.minimum(np.maximum(np.arange(CELLS + 2) - 1, 0) / self.scale, big / 2)
-        # bin index per cell; edges.size (beyond the last edge) reads +inf
-        self.cell_bin = np.searchsorted(edges, np.sqrt(lo), side="left")
+        # bin edges.size, past the last edge, holds +inf
+        self.sup = np.append(np.zeros(edges.size), np.inf)
+        with np.errstate(over="ignore", under="ignore"):
+            ends = np.array([edges[0] ** 2 / 4, 4 * edges[-1] ** 2])
+        self.first, last = ends.view(np.int64) >> SHIFT
+        lower = (np.arange(self.first, last + 1) << SHIFT).view(np.float64)
+        self.cell_bin = np.searchsorted(edges, np.sqrt(lower), side="left")
         self._refresh()
 
-    def may_raise(self, gaps, diffs):
-        """Mask of the pairs whose gap beats the floor of their cell.
+    def may_raise(self, gaps, d2):
+        """Mask of the pairs whose gap beats the floor of their d2's cell."""
+        cells = (d2.view(np.int64) >> SHIFT) - self.first
+        return gaps > self.floor.take(np.clip(cells, 0, self.floor.size - 1))
 
-        ``diffs`` yields the pairs' differences one coordinate at a time;
-        they are squared and summed in place into the filter's d2.
-        """
-        with np.errstate(over="ignore", under="ignore"):
-            d2 = None
-            for diff in diffs:
-                np.square(diff, out=diff)
-                d2 = diff if d2 is None else np.add(d2, diff, out=d2)
-            np.multiply(d2, self.scale, out=d2)
-        # clipped as a float: d2 may be inf, and the cast of inf is undefined
-        np.minimum(d2, CELLS + 1, out=d2)
-        return gaps > self.floor.take(d2.astype(np.intp))
-
-    def add(self, pts, i, j, gaps):
-        """Bin the pairs (i, j) exactly and refresh the floor."""
-        edges = self.edges
-        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
-        keep = dist <= edges[-1]
-        idx = np.searchsorted(edges, dist[keep], side="left")
+    def add(self, gaps, d2):
+        """Bin the pairs that pass the filter at sqrt(d2); refresh the floor."""
+        keep = self.may_raise(gaps, d2)
+        idx = np.searchsorted(self.edges, np.sqrt(d2[keep]), side="left")
         np.maximum.at(self.sup, idx, gaps[keep])
         self._refresh()
 
     def _refresh(self):
-        self.floor = np.append(np.maximum.accumulate(self.sup), np.inf).take(self.cell_bin)
+        self.floor = np.maximum.accumulate(self.sup).take(self.cell_bin)
 
 
 def _leaf_order(cols):
