@@ -241,13 +241,14 @@ class _RunningCurve:
     pair in bins 0..k, so a pair can raise it only if its gap beats the
     running maximum at its own bin.  Non-negative doubles order like their
     bits, so the cell ``d2.view(np.int64) >> SHIFT`` is monotone in d2.
-    The cells run from that of edges[0]^2 / 4, in bin 0, to that of
-    4 edges[-1]^2 (+inf when it overflows), past the last edge; a d2
-    outside reads the end cell.  ``floor[c]`` is the running maximum at the
-    bin of cell c's lower end, and d2 -> sqrt(d2) -> bin is monotone, so a
-    pair the filter drops has a gap no larger than the curve already holds
-    at its bin: the final curve is bit for bit the one of binning every
-    pair.  Survivors are binned at sqrt(d2).
+    The cells run from that of edges[0]^2 / 4 (the largest double when it
+    overflows), in bin 0, to that of 4 edges[-1]^2 (+inf when it
+    overflows), past the last edge; a d2 outside reads the end cell.
+    ``floor[c]`` is the running maximum at the bin of cell c's lower end,
+    and d2 -> sqrt(d2) -> bin is monotone, so a pair the filter drops has
+    a gap no larger than the curve already holds at its bin: the final
+    curve is bit for bit the one of binning every pair.  Survivors are
+    binned at sqrt(d2).
 
     ``may_raise`` also tests a point against a box of points: the d2 of its
     separations max(lo - x, x - hi, 0) and the gap bound max(vmax - v,
@@ -261,7 +262,8 @@ class _RunningCurve:
         # bin edges.size, past the last edge, holds +inf
         self.sup = np.append(np.zeros(edges.size), np.inf)
         with np.errstate(over="ignore", under="ignore"):
-            ends = np.array([edges[0] ** 2 / 4, 4 * edges[-1] ** 2])
+            low = min(edges[0] ** 2 / 4, np.finfo(float).max)
+            ends = np.array([low, 4 * edges[-1] ** 2])
         self.first, last = ends.view(np.int64) >> SHIFT
         lower = (np.arange(self.first, last + 1) << SHIFT).view(np.float64)
         self.cell_bin = np.searchsorted(edges, np.sqrt(lower), side="left")
@@ -273,11 +275,13 @@ class _RunningCurve:
         return gaps > self.floor.take(np.clip(cells, 0, self.floor.size - 1))
 
     def add(self, gaps, d2):
-        """Bin the pairs that pass the filter at sqrt(d2); refresh the floor."""
+        """Bin the pairs that pass the filter at sqrt(d2); refresh the floor
+        if any did (a wide span of edges makes the cell table long)."""
         keep = self.may_raise(gaps, d2)
-        idx = np.searchsorted(self.edges, np.sqrt(d2[keep]), side="left")
-        np.maximum.at(self.sup, idx, gaps[keep])
-        self._refresh()
+        if keep.any():
+            idx = np.searchsorted(self.edges, np.sqrt(d2[keep]), side="left")
+            np.maximum.at(self.sup, idx, gaps[keep])
+            self._refresh()
 
     def _refresh(self):
         self.floor = np.maximum.accumulate(self.sup).take(self.cell_bin)

@@ -164,11 +164,19 @@ class TestEstimateModulus:
         assert curve.t[1] == edges[0] and curve.length == 1.0
 
 
+def distance(diff):
+    """sqrt of the squared differences summed over the last axis in
+    coordinate order, the d2 of estimate_modulus at any dimension (numpy's
+    sum is pairwise from 8 terms)."""
+    return np.sqrt(sum((diff[..., c] ** 2 for c in range(diff.shape[-1])),
+                       np.zeros(diff.shape[:-1])))
+
+
 def pairwise_modulus(pts, vals, edges):
     """Reference estimate: every pair i < j taken once, in a Python loop."""
     sup = np.zeros(edges.size)
     for i, j in itertools.combinations(range(len(vals)), 2):
-        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum())
+        dist = distance(pts[i] - pts[j])
         if dist <= edges[-1]:
             k = np.searchsorted(edges, dist, side="left")
             sup[k] = max(sup[k], abs(vals[i] - vals[j]))
@@ -244,7 +252,7 @@ class TestExactPairsAgainstReference:
         for pts, vals in ((pts, vals), (np.vstack((pts, [[1.5, 1.5]])), np.append(vals, 100.0))):
             n = len(vals)
             i, j = np.triu_indices(n, k=1)
-            dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
+            dist = distance(pts[i] - pts[j])
             keep = dist <= edges[-1]
             sup = np.zeros(edges.size)
             np.maximum.at(sup, np.searchsorted(edges, dist[keep]), np.abs(vals[i] - vals[j])[keep])
@@ -280,7 +288,7 @@ def sampled_modulus(pts, vals, edges, seed, pair_budget):
     """Reference estimate on the subsampled path: every drawn pair is binned.
 
     This is the seeded loop of estimate_modulus before pairs were filtered,
-    kept verbatim, including its 2,000,000-pair draws.
+    including its 2,000,000-pair draws, with d2 summed in coordinate order.
     """
     n = len(vals)
     sup = np.zeros(edges.size)
@@ -291,7 +299,7 @@ def sampled_modulus(pts, vals, edges, seed, pair_budget):
         m = min(chunk, remaining)
         i = rng.integers(0, n, m)
         j = (i + 1 + rng.integers(0, n - 1, m)) % n
-        dist = np.sqrt(((pts[i] - pts[j]) ** 2).sum(-1))
+        dist = distance(pts[i] - pts[j])
         gaps = np.abs(vals[i] - vals[j])
         keep = dist <= edges[-1]
         idx = np.searchsorted(edges, dist[keep], side="left")
@@ -338,7 +346,7 @@ class TestSampledPairsAgainstReference:
 
     @pytest.mark.parametrize("dim", [8, 9])
     def test_many_coordinates(self, dim):
-        # from 8 terms numpy's sum is pairwise, not one coordinate at a time
+        # from 8 terms numpy's sum is pairwise; both sides sum in coordinate order
         rng = np.random.default_rng(26 + dim)
         pts = rng.random((300, dim))
         vals = np.cos(pts @ rng.standard_normal(dim))
@@ -351,6 +359,7 @@ class TestSampledPairsAgainstReference:
         (1e154, 1e154),  # d2 overflows to inf below a finite top edge squared
         (1e-155, 1.5e-155),  # the top edge squared is subnormal
         (1e-165, 1.5e-165),  # the top edge squared underflows to 0
+        (1.0, 1e300),  # the first edge squared overflows; every pair is in bin 0
     ])
     def test_extreme_magnitudes(self, scale, top):
         rng = np.random.default_rng(30)
@@ -401,8 +410,10 @@ def test_estimate_equals_every_pair_binned(cloud, k, seed):
     # as many decades as the normal doubles allow, up to 300
     wide = np.geomspace(max(top * 1e-300, 1e-300), top, k + 1)
     linear = np.linspace(0.0, 2.0 * top, k + 1)[1:]
+    # every squared edge overflows
+    far = np.geomspace(1e155, 1e300, k + 1)
     for bins, edges in ((k, linear), (geometric, geometric), (wide, wide),
-                        (1, linear[-1:])):
+                        (far, far), (1, linear[-1:])):
         assert modulus._RunningCurve(edges).cell_bin.size <= 2**19 + 1
         curve = modulus.estimate_modulus(pts, vals, bins=bins)
         assert np.array_equal(curve.t[1:], edges)
