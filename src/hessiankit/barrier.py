@@ -24,9 +24,12 @@ B, r1, gamma1, K1 and floor are uniform in xi (K2 cancels from the
 oscillation of phitilde), so every barrier shares the far branch
 floor + K1 |z|^2 and only xi and K2 vary per row.  Then v_xi(xi) = phi(xi),
 v_xi <= phi on the boundary, and the envelope v = max over sampled xi is a
-subsolution agreeing with phi at the samples; its near branches are
-evaluated in point blocks at the pairs inside B(xi, r1).  The
-supersolution is the negated envelope built for -phi.
+subsolution agreeing with phi at the samples.  Evaluating it, a near
+branch is formed only at a pair inside B(xi, r1) that can beat the far
+branch: the barriers sit in kd leaves, and a point skips every leaf whose
+bounding box of xi lies outside B(z, r1) or past the leaf's far-dominance
+threshold on -g (``BarrierEnvelope``), bit for bit.  The supersolution is
+the negated envelope built for -phi.
 
 All inequalities above are exact when the modulus curve supplied with the
 boundary data majorizes the true modulus (the named data sets ship exact
@@ -48,6 +51,8 @@ from .geometry import Domain, pseudoconvexity_constant, sample_boundary, sample_
 from .modulus import (
     HolderFit,
     ModulusCurve,
+    _leaf_order,
+    _square_sum,
     concave_majorant,
     estimate_modulus,
     holder_fit,
@@ -261,6 +266,12 @@ def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> 
 # points x barriers per evaluation block, cache-sized: each (points, K)
 # float temporary takes 1 MiB
 BLOCK_ELEMENTS = 2**17
+# barriers per kd leaf of an envelope; __call__ tests a point against a
+# whole leaf before it forms any of the leaf's pairs
+XI_LEAF = 8
+# relative slack of those tests over the roundings they absorb, about
+# 4500 ulps: ample for hundreds of coordinates
+SKIP_MARGIN = 1e-12
 
 
 class BarrierEnvelope:
@@ -268,6 +279,51 @@ class BarrierEnvelope:
 
     ``barriers`` holds the parameters of all K barriers and
     ``phi_xi`` the (K,) data values at their boundary points.
+
+    ``__call__`` evaluates a near branch only where it can be the value.
+    The barriers sit in kd leaves of ``XI_LEAF`` (``modulus._leaf_order``
+    on the 2n real coordinates of xi; copies of the last barrier pad the
+    last leaf, and equal branches leave the max unchanged).  A point meets
+    a leaf only if its squared separation sep2 from the leaf's bounding
+    box of xi passes both tests:
+
+    * inside: sep2 < r1^2, else every pair of the leaf has
+      s = |z - xi|^2 >= r1^2 and no live near branch;
+    * dominance: sep2 - B rho(z) <= the leaf's largest tau, where tau_k
+      is the threshold on neg_g = s - B rho past which barrier k's near
+      branch is at most the far branch.
+
+    A pair of a leaf that passes is kept when s < r1^2 and
+    s - B rho <= tau_k, with s formed as ``_branches`` forms it; only kept
+    pairs reach ``_near``.  Both skips hold for the computed values, so
+    the result is bit for bit the maximum over every branch:
+
+    * s sums |z_j - xi_j|^2 through complex ``abs`` (a hypot within a few
+      ulps), sep2 the squared real separations max(lo - x, x - hi, 0).
+      Rounding is monotone, so each real difference of a pair is at least
+      its box separation, and s >= sep2 (1 - c u) with c a few units per
+      coordinate, up to underflow of a few 2^-1075 per coordinate.  So
+      lb = sep2 (1 - SKIP_MARGIN) - tiny is at most s, and
+      fl(s - B rho) >= fl(lb - B rho) for the same computed B rho.
+    * tau_k: the near branch is (gamma1 chi + phi_k) + (sz - K2_k) with
+      chi = -omega_bar(sqrt(neg_g)), the far branch floor + sz.  Where
+      s < r1^2, |z| < |xi_k| + r1 up to rounding, so every term is below
+      S = |floor| + max|phi| + max K2 + 2 K1 (max|xi| + r1)^2
+      + gamma1 max omega_bar, and the sums inside near and far err by a
+      few ulps of S.  The near branch thus computes <= the far branch once
+      the interpolated omega_bar reaches
+      (phi_k - K2_k - floor + SKIP_MARGIN S) / gamma1.  ``np.interp``
+      returns knot values exactly and adds a nonnegative term to the left
+      knot's value in between, so it reads at least w_j at every
+      x >= t_j.  With t_j the first knot whose value reaches that level,
+      tau_k = t_j^2 (1 + SKIP_MARGIN) keeps sqrt(neg_g) >= t_j whenever
+      neg_g > tau_k; tau_k = +inf when no knot does (constant data).
+    * ``max`` does not round, and no branch is -0.0, so dropping branches
+      <= the computed far branch leaves the output's bits unchanged.  A
+      point with a non-finite coordinate has no live pair.
+
+    ``branch_info`` evaluates every live pair (``_branches``): its
+    runner-up gap can come from a dominated branch.
     """
 
     def __init__(self, barriers: BarrierParams, phi_xi, omega_bar: ModulusCurve,
@@ -279,6 +335,45 @@ class BarrierEnvelope:
         self.omega_bar = omega_bar
         self.domain = domain
         self.m = m
+        self._leaves = self._leaf_tables()
+
+    def _leaf_tables(self):
+        """The barriers in kd-leaf order padded to whole leaves, the leaves'
+        (2n, leaves) bounds of xi, and tau in leaf order with each leaf's
+        largest."""
+        p = self.barriers
+        bar = self.omega_bar
+        cols = np.concatenate([p.xi.real, p.xi.imag], axis=1).T
+        order = _leaf_order(cols, XI_LEAF)
+        order = np.concatenate([order, np.repeat(order[-1], -len(order) % XI_LEAF)])
+        boxes = cols[:, order].reshape(cols.shape[0], -1, XI_LEAF)
+        r_xi = np.sqrt((np.abs(p.xi) ** 2).sum(axis=-1)).max()
+        # an overflow or NaN level sorts past the last knot: tau = +inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = (abs(p.floor) + np.abs(self.phi_xi).max() + p.K2.max()
+                     + 2.0 * p.K1 * np.square(r_xi + p.r1) + p.gamma1 * bar.w[-1])
+            level = (self.phi_xi - p.K2 - p.floor + SKIP_MARGIN * scale) / p.gamma1
+            knot = np.searchsorted(bar.w, level[order], side="left")
+            tau = np.append(bar.t, np.inf)[knot] ** 2 * (1.0 + SKIP_MARGIN)
+        return (order, boxes.min(axis=2), boxes.max(axis=2), tau,
+                tau.reshape(-1, XI_LEAF).max(axis=1))
+
+    def _point_terms(self, zb):
+        """B rho and the quadratic shift sz = K1 |z|^2 of the points zb."""
+        p = self.barriers
+        rho = self.domain.rho(zb)
+        rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
+        return p.B * rho, p.K1 * (np.abs(zb) ** 2).sum(axis=-1)
+
+    def _near(self, neg_g, sz, k):
+        """Near branches of barriers k at pairs with -g = neg_g >= 0 and
+        quadratic shift sz."""
+        p = self.barriers
+        bar = self.omega_bar
+        # omega_bar held at its last value past its last knot keeps chi
+        # convex nondecreasing
+        chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
+        return (p.gamma1 * chi + self.phi_xi[k]) + (sz - p.K2[k])
 
     def _branches(self, z):
         """Yield (rows, far, near) over point blocks of the (points, n) array z.
@@ -289,7 +384,6 @@ class BarrierEnvelope:
         evaluated only at the (point, barrier) pairs inside B(xi, r1).
         """
         p = self.barriers
-        bar = self.omega_bar
         r1_sq = p.r1 * p.r1
         step = max(1, BLOCK_ELEMENTS // len(p))
         for a in range(0, z.shape[0], step):
@@ -297,24 +391,40 @@ class BarrierEnvelope:
             zb = z[rows]
             # one coordinate at a time keeps every temporary at (points, K)
             s = sum(np.abs(zb[:, j, None] - p.xi[:, j]) ** 2 for j in range(zb.shape[1]))
-            rho = self.domain.rho(zb)
-            rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
-            sz = p.K1 * (np.abs(zb) ** 2).sum(axis=-1)
+            brho, sz = self._point_terms(zb)
             i, k = np.nonzero(s < r1_sq)
-            neg_g = np.maximum(s[i, k] - (p.B * rho)[i], 0.0)
-            # omega_bar held at its last value past its last knot keeps chi
-            # convex nondecreasing
-            chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
             near = np.full(s.shape, -np.inf)
-            near[i, k] = (p.gamma1 * chi + self.phi_xi[k]) + (sz[i] - p.K2[k])
+            near[i, k] = self._near(np.maximum(s[i, k] - brho[i], 0.0), sz[i], k)
             yield rows, p.floor + sz, near
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_2d(z)
+        p = self.barriers
+        order, lo, hi, tau, tau_leaf = self._leaves
+        r1_sq = p.r1 * p.r1
+        tiny = np.finfo(float).tiny
         out = np.empty(flat.shape[0])
-        for rows, far, near in self._branches(flat):
-            out[rows] = np.maximum(far, near.max(axis=1))
+        step = max(1, BLOCK_ELEMENTS // len(order))
+        for a in range(0, flat.shape[0], step):
+            zb = flat[a : a + step]
+            brho, sz = self._point_terms(zb)
+            seps = (np.maximum(np.maximum(l - c[:, None], c[:, None] - h), 0.0)
+                    for c, l, h in zip(np.concatenate([zb.real, zb.imag], axis=1).T, lo, hi))
+            # a lower bound of s on each (point, leaf) block
+            lb = _square_sum(seps) * (1.0 - SKIP_MARGIN) - tiny
+            with np.errstate(invalid="ignore"):  # inf - inf at non-finite points
+                i, leaf = np.nonzero((lb < r1_sq) & (lb - brho[:, None] <= tau_leaf))
+            i = np.repeat(i, XI_LEAF)
+            at = (leaf[:, None] * XI_LEAF + np.arange(XI_LEAF)).ravel()
+            k = order[at]
+            s = sum(np.abs(zb[i, j] - p.xi[k, j]) ** 2 for j in range(zb.shape[1]))
+            d = s - brho[i]
+            keep = (s < r1_sq) & (d <= tau[at])
+            i, k = i[keep], k[keep]
+            vals = p.floor + sz
+            np.maximum.at(vals, i, self._near(np.maximum(d[keep], 0.0), sz[i], k))
+            out[a : a + step] = vals
         return out[0] if z.ndim == 1 else out
 
     def branch_info(self, z):

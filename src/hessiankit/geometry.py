@@ -20,6 +20,14 @@ from .core import elementary_symmetric_all
 from .errors import ArgumentError, DomainError, spec_number
 
 
+# squared semi-axes (R^2 of a ball, 1/a_j of an ellipsoid) must lie in
+# [SCALE_MIN, SCALE_MAX]: then |z|^2 - R^2 cannot underflow to 0 inside the
+# domain, so interior rejection sampling ends, and the squared diameter
+# stays finite
+SCALE_MIN = 2.0**-1020
+SCALE_MAX = 2.0**1020
+
+
 @dataclass(frozen=True)
 class Domain:
     kind: str  # "ball" or "ellipsoid"
@@ -31,13 +39,22 @@ class Domain:
     def ball(n: int, radius: float = 1.0) -> "Domain":
         if n < 1 or radius <= 0:
             raise ArgumentError("ball needs n >= 1 and radius > 0")
-        return Domain(kind="ball", n=n, radius=float(radius))
+        radius = float(radius)
+        if not SCALE_MIN <= radius * radius <= SCALE_MAX:
+            raise ArgumentError(
+                f"ball radius {radius!r} out of range: its square must lie in "
+                f"[{SCALE_MIN!r}, {SCALE_MAX!r}]")
+        return Domain(kind="ball", n=n, radius=radius)
 
     @staticmethod
     def ellipsoid(coeffs) -> "Domain":
         a = tuple(float(c) for c in coeffs)
         if len(a) < 1 or any(c <= 0 for c in a):
             raise ArgumentError("ellipsoid coefficients must be positive")
+        if not all(SCALE_MIN <= c <= SCALE_MAX for c in a):  # and so is 1/a_j
+            raise ArgumentError(
+                f"ellipsoid coefficients {a!r} out of range: each must lie in "
+                f"[{SCALE_MIN!r}, {SCALE_MAX!r}]")
         return Domain(kind="ellipsoid", n=len(a), coeffs=a)
 
     @staticmethod

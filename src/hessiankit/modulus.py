@@ -287,24 +287,27 @@ class _RunningCurve:
         self.floor = np.maximum.accumulate(self.sup).take(self.cell_bin)
 
 
-def _leaf_order(cols):
+def _leaf_order(cols, leaf=LEAF):
     """Permutation of the points (columns of ``cols``) into kd-leaf order.
 
-    Each segment of more than ``LEAF`` points is split on its widest
+    Each segment of more than ``leaf`` points is split on its widest
     coordinate, the lower part taking half its leaves, so every leaf but
-    the last is ``LEAF`` consecutive points starting at a multiple of
-    ``LEAF``.
+    the last is ``leaf`` consecutive points starting at a multiple of
+    ``leaf``.  ``estimate_modulus`` orders its points in leaves of
+    ``LEAF``; ``barrier.BarrierEnvelope`` orders its barriers' centres xi
+    in leaves of ``barrier.XI_LEAF``, whose bounding boxes bound every
+    (point, xi) distance of a leaf at once.
     """
     n = cols.shape[1]
     order = np.arange(n)
     stack = [(0, n)]
     while stack:
         a, b = stack.pop()
-        if b - a <= LEAF:
+        if b - a <= leaf:
             continue
         seg = cols[:, order[a:b]]
         axis = int(np.argmax(seg.max(axis=1) - seg.min(axis=1)))
-        half = LEAF * (-(-(b - a) // LEAF) // 2)
+        half = leaf * (-(-(b - a) // leaf) // 2)
         order[a:b] = order[a:b][np.argpartition(seg[axis], half)]
         stack += [(a, a + half), (a + half, b)]
     return order

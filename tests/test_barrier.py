@@ -356,6 +356,118 @@ class TestLiveBranches:
             assert peak <= 16e6
 
 
+def gluing_sphere_points(env, count, seed):
+    """Points at distance r1 from the barriers' centres in seeded directions;
+    one rounding puts each on either side of its gluing sphere."""
+    p = env.barriers
+    u = geometry.sample_boundary(Domain.ball(env.domain.n, 1.0), count, seed)
+    return p.xi[np.arange(count) % len(p)] + p.r1 * u
+
+
+class TestLeafSkip:
+    """``__call__`` skips the (point, leaf) blocks outside B(xi, r1) or under
+    the far branch, and the pairs under the far branch; pinned bit for bit to
+    the dense formula where the skips are closest to wrong."""
+
+    @pytest.mark.parametrize(
+        "dom, spec, f_sup, xi_count",
+        [
+            (BALL, "const:-1.75", 0.0, 40),  # flat profile: no tau is finite
+            (BALL, "const:-1.75", 1.0, 40),  # near and far branches tie at each xi
+            (Domain.ellipsoid([1.0, 4.0]), "re_z1", 0.0, 40),
+            (Domain.ball(3, 1.0), "re_z1", 1.0, 40),
+            (BALL, "re_z1", 0.0, 1),
+            (BALL, "psi_sqrt", 0.0, 13),  # not a multiple of the leaf size
+        ],
+        ids=["constant", "ties-f1", "ellipsoid", "ball3-f1", "one-barrier", "thirteen"],
+    )
+    def test_matches_dense(self, dom, spec, f_sup, xi_count):
+        data = barrier.make_boundary_data(spec, dom)
+        density = ones_density if f_sup > 0 else None
+        env = barrier.build_subsolution(data, density, dom, m=2, xi_count=xi_count, seed=70,
+                                        f_sup=f_sup)
+        tau = env._leaves[3]
+        assert np.isinf(tau).all() == (spec.startswith("const") and f_sup == 0.0)
+        pts = np.concatenate([
+            barrier.verification_grid(dom, 1500, seed=71, anchors=data.anchors),
+            geometry.sample_boundary(dom, 200, seed=72),
+            env.barriers.xi,
+            0.999 * env.barriers.xi,
+            gluing_sphere_points(env, 400, seed=73),
+        ])
+        assert_matches_dense(env, pts)
+        if spec.startswith("const") and f_sup > 0:
+            far, near = dense_branches(env, env.barriers.xi)
+            assert np.any(near.max(axis=1) == far)
+
+    def test_points_on_a_gluing_sphere(self):
+        # r1 = 1: z = 0 is on every sphere; z = (1, 1) is on the spheres of
+        # (1, 0) and (0, 1), outside the ball, where B rho >= s leaves neg_g
+        # = 0 and those near branches (phi(xi) = 1) beat the far branch (-1)
+        xis = np.array([[1, 0], [0, 1], [-1, 0], [0, -1], [1j, 0]], dtype=complex)
+        env = barrier._envelope(xis, barrier.boundary_re_z1(BALL), BALL, 2, 0.0)
+        pts = np.array([[0, 0], [1, 1], [1 + 1j, 0], [2, 0], [0, 1 - 1j], [-1, 1]], dtype=complex)
+        s = sum(np.abs(pts[:, j, None] - xis[:, j]) ** 2 for j in range(2))
+        assert env.barriers.r1 == 1.0 and np.all(s[0] == 1.0) and np.all(s[:, :2].diagonal() == 1.0)
+        assert env(pts[1]) == env.barriers.floor == -1.0
+        assert_matches_dense(env, np.concatenate([pts, gluing_sphere_points(env, 500, seed=74)]))
+
+    def test_one_rounding_inside_the_gluing_sphere(self):
+        # the pairs inside B(xi, r1) only by the rounding of complex abs: the
+        # real separations of the one-barrier leaf box sum to >= r1^2
+        xi = np.array([[1, 0]], dtype=complex)
+        env = barrier._envelope(xi, barrier.boundary_re_z1(BALL), BALL, 2, 0.0)
+        pts = gluing_sphere_points(env, 4000, seed=75)
+        s = sum(np.abs(pts[:, j] - xi[0, j]) ** 2 for j in range(2))
+        diffs = np.concatenate([(pts - xi).real, (pts - xi).imag], axis=1)
+        sep2 = modulus._square_sum(iter(diffs.T.copy()))
+        far, near = dense_branches(env, pts)
+        assert np.any((s < 1.0) & (sep2 >= 1.0) & (near[:, 0] > far))
+        assert_matches_dense(env, pts)
+
+    @pytest.mark.parametrize("f_sup", [0.0, 1.0])
+    def test_non_finite_points(self, f_sup):
+        data = barrier.boundary_re_z1(BALL)
+        env = barrier.build_subsolution(data, ones_density if f_sup else None, BALL, m=2,
+                                        xi_count=20, seed=76, f_sup=f_sup)
+        bad = np.zeros((6, 2), dtype=complex)
+        bad[0, 0], bad[1, 0], bad[2, 1] = np.nan, np.inf, -np.inf
+        bad[3, 0], bad[4, 1], bad[5, 0] = complex(np.inf, np.nan), complex(0, -np.inf), complex(np.nan, 1)
+        pts = np.concatenate([barrier.verification_grid(BALL, 200, seed=77), bad])
+        with np.errstate(invalid="ignore"):
+            far, near = dense_branches(env, pts)
+            got = env(pts)
+        # no pair of a non-finite point is live: its value is the far branch
+        # floor + K1 |z|^2 (NaN, or +inf at an infinite point when K1 > 0).
+        # The dense formula adds K1 |z|^2 - K2 to its masked -inf, which
+        # reads NaN there.
+        finite = np.isfinite(pts).all(axis=1)
+        assert np.array_equal(got[finite], np.maximum(far, near.max(axis=1))[finite])
+        assert np.array_equal(got[~finite], far[~finite], equal_nan=True)
+        assert np.isnan(got[~finite]).all() == (f_sup == 0.0)
+
+
+class TestLeafSkipPrunes:
+    """Only a small share of the pairs reaches the modulus profile in
+    ``__call__``; about a quarter of them lie inside B(xi, r1)."""
+
+    @pytest.mark.parametrize("spec", ["re_z1", "psi_sqrt"])
+    def test_interpolated_pairs(self, monkeypatch, spec):
+        data = barrier.make_boundary_data(spec, BALL)
+        env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=150, seed=21)
+        grid = barrier.verification_grid(BALL, 3000, seed=22, anchors=data.anchors)
+        pairs = [0]
+        interp = np.interp
+
+        def counted_interp(x, *args, **kwargs):
+            pairs[0] += np.size(x)
+            return interp(x, *args, **kwargs)
+
+        monkeypatch.setattr(barrier.np, "interp", counted_interp)
+        env(grid)
+        assert pairs[0] / (3000 * 150) < 0.08  # measured 0.041 (re_z1), 0.010
+
+
 class TestOtherConfigurations:
     def test_ellipsoid_sandwich(self):
         ell = Domain.ellipsoid([1.0, 4.0])

@@ -427,6 +427,44 @@ def test_non_finite_spec_number_exits_2(capsys, argv):
     assert "is not a finite number" in captured.err
 
 
+@pytest.mark.parametrize("domain", ["ball:1e160", "ball:1e300", "ellipsoid:1,1e-320",
+                                    "ellipsoid:1,1e308"])
+def test_out_of_range_domain_exits_2(capsys, domain):
+    # the squared radius overflowed in the barrier floor, and a coefficient
+    # of 1e-320 failed later with an unrelated message
+    code = cli.main(["barrier", "--n", "2", "--m", "2", "--domain", domain])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "out of range" in captured.err
+
+
+def test_tiny_ball_exits_2_in_time(tmp_path):
+    # |z|^2 and r^2 both underflowed to 0, so interior sampling never ended
+    src = os.path.dirname(os.path.dirname(hessiankit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["barrier", "--n", "2", "--m", "2", "--domain", "ball:1e-300",
+            "--output-dir", str(tmp_path / "reports")]
+    proc = subprocess.run([sys.executable, "-m", "hessiankit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "out of range" in proc.stderr
+
+
+@pytest.mark.parametrize("n, domain", [
+    (2, f"ball:{2.0**-510!r}"),
+    (2, f"ball:{2.0**510!r}"),
+    (1, f"ellipsoid:{2.0**-1020!r}"),
+    (1, f"ellipsoid:{2.0**1020!r}"),
+], ids=["ball-min", "ball-max", "ellipsoid-min", "ellipsoid-max"])
+def test_barrier_at_the_ends_of_the_domain_range(capsys, tmp_path, n, domain):
+    argv = ["barrier", "--n", str(n), "--m", "1", "--domain", domain, "--xi-samples", "20",
+            "--grid", "200", "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(capsys, argv)
+    assert code == 0 and json_part(out)["result"]["pass"] is True
+
+
 def test_readme_command_line_examples_parse():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()

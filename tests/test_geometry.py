@@ -17,6 +17,21 @@ class TestDomain:
         with pytest.raises(ArgumentError):
             Domain.parse("ball:1")  # dimension missing
 
+    def test_squared_semi_axes_in_range(self):
+        # both ends of [2^-1020, 2^1020] are accepted, one ulp past either
+        # end is not; the CLI runs at the ends (tests/test_cli.py)
+        lo, hi = geometry.SCALE_MIN, geometry.SCALE_MAX
+        for r_sq in (lo, hi):
+            assert Domain.ball(2, np.sqrt(r_sq)).radius ** 2 == r_sq
+            assert Domain.ellipsoid([1.0, r_sq]).coeffs == (1.0, r_sq)
+        for r_sq in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+            with pytest.raises(ArgumentError, match="out of range"):
+                Domain.ellipsoid([1.0, r_sq])
+        for radius in (np.nextafter(np.sqrt(lo), 0.0), np.nextafter(np.sqrt(hi), np.inf),
+                       1e-300, 1e160, 1e300):
+            with pytest.raises(ArgumentError, match="out of range"):
+                Domain.ball(2, radius)
+
     def test_rho_signs(self):
         dom = Domain.ball(2, 1.0)
         assert dom.rho(np.zeros(2, dtype=complex)) < 0
