@@ -78,7 +78,6 @@ class BoundaryData:
 
     phi: object  # callable on (..., n) complex arrays
     omega_phi: ModulusCurve
-    sup_norm: float
     inf_phi: float
     sup_phi: float
     anchors: np.ndarray | None = None
@@ -89,7 +88,6 @@ class BoundaryData:
         return BoundaryData(
             phi=lambda z: -f(z),
             omega_phi=self.omega_phi,
-            sup_norm=self.sup_norm,
             inf_phi=-self.sup_phi,
             sup_phi=-self.inf_phi,
             anchors=self.anchors,
@@ -113,7 +111,6 @@ def boundary_re_z1(domain: Domain) -> BoundaryData:
     return BoundaryData(
         phi=lambda z: np.asarray(z, dtype=complex)[..., 0].real,
         omega_phi=linear_curve(1.0, d),
-        sup_norm=x_max,
         inf_phi=-x_max,
         sup_phi=x_max,
         anchors=np.stack([_axis_point(domain, -1.0), _axis_point(domain, 1.0)]),
@@ -133,7 +130,6 @@ def boundary_psi_sqrt(domain: Domain) -> BoundaryData:
     return BoundaryData(
         phi=psi_example_solution,
         omega_phi=linear_curve(0.5, domain.diameter),
-        sup_norm=1.0,
         inf_phi=-1.0,
         sup_phi=0.0,
         anchors=np.stack([_axis_point(domain, -1.0), _axis_point(domain, 1.0)]),
@@ -147,7 +143,6 @@ def boundary_const(domain: Domain, value: float) -> BoundaryData:
     return BoundaryData(
         phi=lambda z: np.full(np.asarray(z).shape[:-1], float(value)),
         omega_phi=curve,
-        sup_norm=abs(float(value)),
         inf_phi=float(value),
         sup_phi=float(value),
         anchors=np.stack([_axis_point(domain, 1.0)]),
@@ -172,7 +167,6 @@ def boundary_from_samples(
     return BoundaryData(
         phi=phi,
         omega_phi=curve,
-        sup_norm=float(np.max(np.abs(vals))),
         inf_phi=float(vals.min()),
         sup_phi=float(vals.max()),
         anchors=np.stack([pts[order[0]], pts[order[-1]]]),
@@ -291,12 +285,14 @@ class BarrierEnvelope:
       s = |z - xi|^2 >= r1^2 and no live near branch;
     * dominance: sep2 - B rho(z) <= the leaf's largest tau, where tau_k
       is the threshold on neg_g = s - B rho past which barrier k's near
-      branch is at most the far branch.
+      branch is below the far branch.
 
     A pair of a leaf that passes is kept when s < r1^2 and
-    s - B rho <= tau_k, with s formed as ``_branches`` forms it; only kept
-    pairs reach ``_near``.  Both skips hold for the computed values, so
-    the result is bit for bit the maximum over every branch:
+    s - B rho <= tau_k, with s summed over the coordinates of the pair;
+    only kept pairs reach ``_near``.  ``_live`` yields them block by
+    block, and ``__call__`` and ``branch_info`` both read them.  Both
+    skips hold for the computed values, so ``__call__`` is bit for bit the
+    maximum over every branch:
 
     * s sums |z_j - xi_j|^2 through complex ``abs`` (a hypot within a few
       ulps), sep2 the squared real separations max(lo - x, x - hi, 0).
@@ -310,20 +306,27 @@ class BarrierEnvelope:
       s < r1^2, |z| < |xi_k| + r1 up to rounding, so every term is below
       S = |floor| + max|phi| + max K2 + 2 K1 (max|xi| + r1)^2
       + gamma1 max omega_bar, and the sums inside near and far err by a
-      few ulps of S.  The near branch thus computes <= the far branch once
-      the interpolated omega_bar reaches
+      few ulps of S.  The near branch thus computes below the far branch,
+      by about SKIP_MARGIN S, once the interpolated omega_bar exceeds
       (phi_k - K2_k - floor + SKIP_MARGIN S) / gamma1.  ``np.interp``
       returns knot values exactly and adds a nonnegative term to the left
       knot's value in between, so it reads at least w_j at every
-      x >= t_j.  With t_j the first knot whose value reaches that level,
+      x >= t_j.  With t_j the first knot whose value exceeds that level,
       tau_k = t_j^2 (1 + SKIP_MARGIN) keeps sqrt(neg_g) >= t_j whenever
       neg_g > tau_k; tau_k = +inf when no knot does (constant data).
     * ``max`` does not round, and no branch is -0.0, so dropping branches
       <= the computed far branch leaves the output's bits unchanged.  A
       point with a non-finite coordinate has no live pair.
 
-    ``branch_info`` evaluates every live pair (``_branches``): its
-    runner-up gap can come from a dominated branch.
+    ``branch_info`` sees the same pairs, with -inf for every pair not
+    kept, and its first argmax, top value and uniqueness of the maximum
+    equal those over every branch.  A pair outside B(xi, r1) has no near
+    branch.  A pair skipped inside it lies strictly below the computed
+    far branch: the gap of about SKIP_MARGIN S is far above the few ulps
+    of S that the roundings take, provided S > 0.  S = 0 only for
+    all-zero data with f = 0, where omega_bar is 0, no knot exceeds the
+    level 0 and every tau is +inf.  So a skipped branch neither wins nor
+    ties, and no branch that reaches the top value is dropped.
     """
 
     def __init__(self, barriers: BarrierParams, phi_xi, omega_bar: ModulusCurve,
@@ -353,7 +356,7 @@ class BarrierEnvelope:
             scale = (abs(p.floor) + np.abs(self.phi_xi).max() + p.K2.max()
                      + 2.0 * p.K1 * np.square(r_xi + p.r1) + p.gamma1 * bar.w[-1])
             level = (self.phi_xi - p.K2 - p.floor + SKIP_MARGIN * scale) / p.gamma1
-            knot = np.searchsorted(bar.w, level[order], side="left")
+            knot = np.searchsorted(bar.w, level[order], side="right")
             tau = np.append(bar.t, np.inf)[knot] ** 2 * (1.0 + SKIP_MARGIN)
         return (order, boxes.min(axis=2), boxes.max(axis=2), tau,
                 tau.reshape(-1, XI_LEAF).max(axis=1))
@@ -375,39 +378,23 @@ class BarrierEnvelope:
         chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
         return (p.gamma1 * chi + self.phi_xi[k]) + (sz - p.K2[k])
 
-    def _branches(self, z):
-        """Yield (rows, far, near) over point blocks of the (points, n) array z.
+    def _live(self, z):
+        """Yield (rows, far, i, k, near) over point blocks of the (points, n)
+        array z.
 
-        ``near`` is the (points, K) matrix of near-field branches, -inf
-        outside B(xi, r1); ``far`` is the (points,) far branch
-        floor + K1 |z|^2 that every barrier shares.  The near branch is
-        evaluated only at the (point, barrier) pairs inside B(xi, r1).
+        ``far`` is the block's (points,) far branch floor + K1 |z|^2 that
+        every barrier shares; ``near`` holds the near branches of barriers
+        ``k`` at the block's rows ``i``, for the pairs the leaf skip keeps.
+        A barrier padding the last leaf repeats its own pairs.
         """
-        p = self.barriers
-        r1_sq = p.r1 * p.r1
-        step = max(1, BLOCK_ELEMENTS // len(p))
-        for a in range(0, z.shape[0], step):
-            rows = slice(a, a + step)
-            zb = z[rows]
-            # one coordinate at a time keeps every temporary at (points, K)
-            s = sum(np.abs(zb[:, j, None] - p.xi[:, j]) ** 2 for j in range(zb.shape[1]))
-            brho, sz = self._point_terms(zb)
-            i, k = np.nonzero(s < r1_sq)
-            near = np.full(s.shape, -np.inf)
-            near[i, k] = self._near(np.maximum(s[i, k] - brho[i], 0.0), sz[i], k)
-            yield rows, p.floor + sz, near
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        flat = np.atleast_2d(z)
         p = self.barriers
         order, lo, hi, tau, tau_leaf = self._leaves
         r1_sq = p.r1 * p.r1
         tiny = np.finfo(float).tiny
-        out = np.empty(flat.shape[0])
         step = max(1, BLOCK_ELEMENTS // len(order))
-        for a in range(0, flat.shape[0], step):
-            zb = flat[a : a + step]
+        for a in range(0, z.shape[0], step):
+            rows = slice(a, a + step)
+            zb = z[rows]
             brho, sz = self._point_terms(zb)
             seps = (np.maximum(np.maximum(l - c[:, None], c[:, None] - h), 0.0)
                     for c, l, h in zip(np.concatenate([zb.real, zb.imag], axis=1).T, lo, hi))
@@ -422,32 +409,43 @@ class BarrierEnvelope:
             d = s - brho[i]
             keep = (s < r1_sq) & (d <= tau[at])
             i, k = i[keep], k[keep]
-            vals = p.floor + sz
-            np.maximum.at(vals, i, self._near(np.maximum(d[keep], 0.0), sz[i], k))
-            out[a : a + step] = vals
+            yield rows, p.floor + sz, i, k, self._near(np.maximum(d[keep], 0.0), sz[i], k)
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        flat = np.atleast_2d(z)
+        out = np.empty(flat.shape[0])
+        for rows, far, i, _, near in self._live(flat):
+            np.maximum.at(far, i, near)
+            out[rows] = far
+            # release this block's pairs before _live forms the next block's
+            del far, i, near
         return out[0] if z.ndim == 1 else out
 
     def branch_info(self, z):
-        """Active branch id, gap to the best competing branch, and value.
+        """Active branch id, whether its value is attained once, and value.
 
         The branches are [far, near_0, ..., near_{K-1}]: branch 0 is the far
         branch, branch i >= 1 the near field of barrier i - 1.  The id is the
-        first argmax and the gap the difference of the two largest values.
-        The top value is the envelope value, since max does not round.  A
-        large gap means the envelope is locally a single smooth branch,
-        where finite differences make sense.
+        first argmax, ``unique`` says no other branch reaches the top value,
+        and the top value is the envelope value, since max does not round.
+        Where a point's nodes share one active branch and each holds the
+        maximum alone, the envelope is a single smooth branch there, and
+        finite differences make sense.
         """
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         branch = np.empty(z.shape[0], dtype=int)
-        gap = np.empty(z.shape[0])
+        unique = np.empty(z.shape[0], dtype=bool)
         top = np.empty(z.shape[0])
-        for rows, far, near in self._branches(z):
-            vals = np.concatenate([far[:, None], near], axis=1)
+        for rows, far, i, k, near in self._live(z):
+            vals = np.full((far.size, len(self.barriers) + 1), -np.inf)
+            vals[:, 0] = far
+            vals[i, k + 1] = near
             branch[rows] = np.argmax(vals, axis=1)
             ranked = np.partition(vals, -2, axis=1)
             top[rows] = ranked[:, -1]
-            gap[rows] = ranked[:, -1] - ranked[:, -2]
-        return branch, gap, top
+            unique[rows] = ranked[:, -1] > ranked[:, -2]
+        return branch, unique, top
 
     def boundary_values(self):
         """The boundary points xi, the envelope there and the data phi(xi)."""
@@ -728,8 +726,8 @@ def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int):
     """Probe point count, the smooth probe points and their complex Hessians.
 
     Probe points are interior samples deeper than the stencil.  A point is
-    smooth when its whole stencil sits on one branch with a positive
-    runner-up gap.  Kink points of the max-glue are skipped: the one-sided
+    smooth when its whole stencil sits on one branch that no other branch
+    reaches.  Kink points of the max-glue are skipped: the one-sided
     derivatives there only add positivity, which finite differences cannot
     certify.  The Hessians come as one (points, n, n) stack.
     """
@@ -740,8 +738,8 @@ def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int):
     pts = pts[depth > 4.0 * h * math.sqrt(2 * domain.n)][:count]
     nodes = fd_stencil(pts, h)
     info = envelope.branch_info(nodes.reshape(-1, domain.n))
-    branch, gap, values = (x.reshape(nodes.shape[:2]) for x in info)
-    smooth = np.all(branch == branch[:, :1], axis=1) & (gap.min(axis=1) > 0.0)
+    branch, unique, values = (x.reshape(nodes.shape[:2]) for x in info)
+    smooth = np.all(branch == branch[:, :1], axis=1) & unique.all(axis=1)
     q = _hessian_from_stencil(values[smooth], 2 * domain.n, h)
     return pts.shape[0], pts[smooth], core.complex_hessian_from_real(q)
 

@@ -5,7 +5,8 @@ command or suite.  The exceptions are the names the benchmark imports from
 the package (``BENCH_PINNED``); each must still be referenced by its bench
 file, so the map goes stale, and this test fails, once the benchmark drops
 one.  A private helper left behind when its last caller goes is dead code,
-and has no exceptions.
+and has no exceptions; neither has a private method (a non-dunder ``_name``
+defined in a class), which needs a reference outside its own body.
 
 The other way round, the surface the benchmark reads stays in the package:
 every module attribute a bench file names, the sampling parameters of
@@ -15,6 +16,7 @@ every module attribute a bench file names, the sampling parameters of
 import ast
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -81,6 +83,35 @@ def test_every_private_helper_has_a_src_caller():
     dead = [
         f"{module}.{name}" for module, names in PRIVATE.items() for name in names
         if not has_src_caller(module, name)
+    ]
+    assert dead == []
+
+
+def private_methods():
+    """Yield (module, class, method definition) of each non-dunder ``_name``
+    method of a top-level class in src/."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if node.name.startswith("_") and not dunder:
+                    yield path.stem, cls.name, node
+
+
+def test_every_private_method_has_a_src_caller():
+    everywhere = Counter(
+        name for path in PACKAGE.glob("*.py")
+        for name in referenced_names(ast.parse(path.read_text()))
+    )
+    methods = list(private_methods())
+    assert methods, "no private method found in src/"
+    dead = [
+        f"{module}.{cls}.{node.name}" for module, cls, node in methods
+        if everywhere[node.name] == Counter(referenced_names(node))[node.name]
     ]
     assert dead == []
 

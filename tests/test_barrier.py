@@ -255,7 +255,7 @@ class TestBatchedEnvelope:
         assert np.array_equal(env(pts), np.max([vb(pts) for vb in singles], axis=0))
 
         # fold over [far, near_0, ...]; a strict > keeps the first maximum
-        blocks = [next(vb._branches(pts))[1:] for vb in singles]
+        blocks = [dense_branches(vb, pts) for vb in singles]
         top = np.max([far for far, _ in blocks], axis=0)
         second = np.full(len(pts), -np.inf)
         ids = np.zeros(len(pts), dtype=int)
@@ -264,10 +264,10 @@ class TestBatchedEnvelope:
             second = np.where(better, top, np.maximum(second, near[:, 0]))
             ids = np.where(better, i + 1, ids)
             top = np.where(better, near[:, 0], top)
-        branch, gap, value = env.branch_info(pts)
-        assert np.any(branch == 0) and (np.any(branch > 0) or np.any(gap == 0.0))
+        branch, unique, value = env.branch_info(pts)
+        assert np.any(branch == 0) and (np.any(branch > 0) or not unique.all())
         assert np.array_equal(branch, ids)
-        assert np.array_equal(gap, top - second)
+        assert np.array_equal(unique, top > second)
         assert np.array_equal(value, top)
 
 
@@ -292,9 +292,9 @@ def assert_matches_dense(env, pts):
     assert np.array_equal(env(pts), np.maximum(far, near.max(axis=1)))
     vals = np.concatenate([far[:, None], near], axis=1)
     ranked = np.partition(vals, -2, axis=1)
-    branch, gap, value = env.branch_info(pts)
+    branch, unique, value = env.branch_info(pts)
     assert np.array_equal(branch, np.argmax(vals, axis=1))
-    assert np.array_equal(gap, ranked[:, -1] - ranked[:, -2])
+    assert np.array_equal(unique, ranked[:, -1] > ranked[:, -2])
     assert np.array_equal(value, ranked[:, -1])
 
 
@@ -373,13 +373,14 @@ class TestLeafSkip:
         "dom, spec, f_sup, xi_count",
         [
             (BALL, "const:-1.75", 0.0, 40),  # flat profile: no tau is finite
+            (BALL, "const:0", 0.0, 40),  # S = 0: no knot exceeds the level 0
             (BALL, "const:-1.75", 1.0, 40),  # near and far branches tie at each xi
             (Domain.ellipsoid([1.0, 4.0]), "re_z1", 0.0, 40),
             (Domain.ball(3, 1.0), "re_z1", 1.0, 40),
             (BALL, "re_z1", 0.0, 1),
             (BALL, "psi_sqrt", 0.0, 13),  # not a multiple of the leaf size
         ],
-        ids=["constant", "ties-f1", "ellipsoid", "ball3-f1", "one-barrier", "thirteen"],
+        ids=["constant", "zero", "ties-f1", "ellipsoid", "ball3-f1", "one-barrier", "thirteen"],
     )
     def test_matches_dense(self, dom, spec, f_sup, xi_count):
         data = barrier.make_boundary_data(spec, dom)
@@ -558,6 +559,20 @@ class TestProbes:
         result = barrier.msh_probe(env, count=1000, seed=32)
         assert result.points_smooth >= 900
         assert result.min_margin >= -1e-6 * result.scale
+
+    @pytest.mark.parametrize("value", [-1.75, 0.0])
+    def test_msh_probe_skips_stencils_across_a_gluing_sphere(self, monkeypatch, value):
+        # one barrier at xi = (1, 0) with flat data: inside B(xi, r1) its
+        # near branch ties with the far branch at the data value, outside it
+        # only the far branch is left.  Every probe point sits on the gluing
+        # sphere, so each stencil has nodes on both sides.
+        xi = np.array([[1, 0]], dtype=complex)
+        env = barrier._envelope(xi, barrier.boundary_const(BALL, value), BALL, 2, 0.0)
+        monkeypatch.setattr(barrier, "sample_interior",
+                            lambda domain, count, seed: gluing_sphere_points(env, count, seed))
+        result = barrier.msh_probe(env, count=100, seed=80)
+        assert result.points_tested == 100
+        assert result.points_smooth == 0
 
     def test_msh_probe_with_density(self):
         data = barrier.boundary_psi_sqrt(BALL)
