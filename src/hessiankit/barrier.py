@@ -366,7 +366,11 @@ class BarrierEnvelope:
         p = self.barriers
         rho = self.domain.rho(zb)
         rho = np.where(np.abs(rho) < RHO_SNAP, 0.0, rho)
-        return p.B * rho, p.K1 * (np.abs(zb) ** 2).sum(axis=-1)
+        if p.K1:
+            return p.B * rho, p.K1 * (np.abs(zb) ** 2).sum(axis=-1)
+        # K1 = 0: sz = 0 also where |z|^2 overflows; a non-finite coordinate
+        # still reads NaN
+        return p.B * rho, np.where(np.isfinite(zb).all(axis=-1), 0.0, np.nan)
 
     def _near(self, neg_g, sz, k):
         """Near branches of barriers k at pairs with -g = neg_g >= 0 and
@@ -377,6 +381,34 @@ class BarrierEnvelope:
         # convex nondecreasing
         chi = -np.interp(np.sqrt(neg_g), bar.t, bar.w)
         return (p.gamma1 * chi + self.phi_xi[k]) + (sz - p.K2[k])
+
+    def _hessians(self, z, branch):
+        """Exact complex Hessians d_j dbar_l, a (points, n, n) stack, of the
+        branches ``branch`` (ids as in ``branch_info``) at the points z.
+
+        The far branch floor + K1 |z|^2 has K1 I.  The near branch of
+        barrier k is -gamma1 (a + b x) + K1 |z|^2 + const on the segment of
+        omega_bar, of slope b, that holds x = sqrt(-g), -g = |z - xi_k|^2 -
+        B rho(z).  With D = I - B hess(rho) and v = dbar(-g) = (z - xi_k) -
+        B hess(rho) z, that is K1 I - gamma1 b (D / (2x) - conj(v) v^T /
+        (4 x^3)); b = 0 past the last knot.
+        """
+        p = self.barriers
+        bar = self.omega_bar
+        n = z.shape[-1]
+        hess_rho = self.domain.hess_rho()
+        out = np.tile(p.K1 * np.eye(n, dtype=complex), (len(z), 1, 1))
+        near = branch > 0
+        zn, k = z[near], branch[near] - 1
+        s = sum(np.abs(zn[:, j] - p.xi[k, j]) ** 2 for j in range(n))
+        x = np.sqrt(np.maximum(s - self._point_terms(zn)[0], 0.0))[:, None, None]
+        slope = np.append(np.diff(bar.w) / np.diff(bar.t), 0.0)
+        b = slope[np.searchsorted(bar.t, x, side="right") - 1]
+        v = (zn - p.xi[k]) - p.B * zn @ hess_rho
+        dx = ((np.eye(n) - p.B * hess_rho) / (2.0 * x)
+              - v.conj()[:, :, None] * v[:, None, :] / (4.0 * x**3))
+        out[near] -= p.gamma1 * b * dx
+        return out
 
     def _live(self, z):
         """Yield (rows, far, i, k, near) over point blocks of the (points, n)
@@ -429,9 +461,8 @@ class BarrierEnvelope:
         branch, branch i >= 1 the near field of barrier i - 1.  The id is the
         first argmax, ``unique`` says no other branch reaches the top value,
         and the top value is the envelope value, since max does not round.
-        Where a point's nodes share one active branch and each holds the
-        maximum alone, the envelope is a single smooth branch there, and
-        finite differences make sense.
+        Where the maximum is attained once, the envelope is that one branch
+        around the point, whose Hessian ``_hessians`` gives.
         """
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         branch = np.empty(z.shape[0], dtype=int)
@@ -586,7 +617,7 @@ def verification_grid(domain: Domain, count: int, seed: int, anchors=None) -> np
     which is what resolves boundary-degenerate moduli; the bulk covers
     everything else.
     """
-    bulk_count = count if anchors is None or len(anchors) == 0 else count // 2
+    bulk_count = count if anchors is None or len(anchors) == 0 else max(count // 2, 1)
     parts = [sample_interior(domain, bulk_count, seed)]
     if anchors is not None and len(anchors) > 0:
         per = max((count - bulk_count) // len(anchors), 2)
@@ -666,82 +697,42 @@ def verify_modulus_bound(
 
 
 # ---------------------------------------------------------------------------
-# Finite-difference probes
-
-PROBE_STEP = 1e-5  # stencil step of the probes' finite-difference Hessians
-
-def fd_stencil(z, h: float) -> np.ndarray:
-    """All evaluation nodes of the dense central-difference Hessian.
-
-    ``z`` is one point (n,) or a stack (..., n); nodes come as (..., S, n).
-    """
-    z = np.asarray(z, dtype=complex)
-    n = z.shape[-1]
-    dim = 2 * n
-    offsets = np.zeros((dim, n), dtype=complex)
-    for j in range(n):
-        offsets[2 * j, j] = h
-        offsets[2 * j + 1, j] = 1j * h
-    nodes = [z]
-    nodes += [z + offsets[a] for a in range(dim)]
-    nodes += [z - offsets[a] for a in range(dim)]
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            nodes += [
-                z + offsets[a] + offsets[b],
-                z + offsets[a] - offsets[b],
-                z - offsets[a] + offsets[b],
-                z - offsets[a] - offsets[b],
-            ]
-    return np.stack(nodes, axis=-2)
-
-
-def _hessian_from_stencil(values: np.ndarray, dim: int, h: float) -> np.ndarray:
-    """Assemble Hessians from function values in fd_stencil order along the
-    last axis; shape (..., dim, dim)."""
-    center = values[..., :1]
-    plus = values[..., 1 : 1 + dim]
-    minus = values[..., 1 + dim : 1 + 2 * dim]
-    q = np.empty(values.shape[:-1] + (dim, dim))
-    diag = np.arange(dim)
-    q[..., diag, diag] = (plus - 2.0 * center + minus) / h**2
-    pos = 1 + 2 * dim
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            pp, pm, mp, mm = np.moveaxis(values[..., pos : pos + 4], -1, 0)
-            pos += 4
-            q[..., a, b] = q[..., b, a] = (pp - pm - mp + mm) / (4.0 * h**2)
-    return q
+# Probes
 
 
 @dataclass
 class ProbeSummary:
     points_tested: int
     points_smooth: int
+    points_near: int  # smooth points on a near branch
     min_margin: float
-    scale: float
+    scale: float = 1.0  # the margins are relative to each point's own scale
 
 
 def _smooth_hessians(envelope: BarrierEnvelope, count: int, seed: int):
-    """Probe point count, the smooth probe points and their complex Hessians.
+    """Probe point count, and the smooth probe points, their branches and
+    their exact complex Hessians (one (points, n, n) stack).
 
-    Probe points are interior samples deeper than the stencil.  A point is
-    smooth when its whole stencil sits on one branch that no other branch
-    reaches.  Kink points of the max-glue are skipped: the one-sided
-    derivatives there only add positivity, which finite differences cannot
-    certify.  The Hessians come as one (points, n, n) stack.
+    The probe points are the verification grid anchored at the barrier with
+    the largest data value, whose near branch beats the far branch by most,
+    so its ray crosses a collar.  A point is smooth when one branch alone
+    attains its top value.  Every branch is continuous where it is formed,
+    and a near branch ends below the far branch on its gluing sphere, so
+    the envelope is that one branch around the point and its Hessian is the
+    branch's own (``BarrierEnvelope._hessians``).  Points where branches
+    tie are skipped: a max-glue kink only adds positivity there.
     """
-    h = PROBE_STEP
-    domain = envelope.domain
-    pts = sample_interior(domain, 4 * count, seed)
-    depth = np.abs(domain.rho(pts)) / domain.lipschitz_rho()
-    pts = pts[depth > 4.0 * h * math.sqrt(2 * domain.n)][:count]
-    nodes = fd_stencil(pts, h)
-    info = envelope.branch_info(nodes.reshape(-1, domain.n))
-    branch, unique, values = (x.reshape(nodes.shape[:2]) for x in info)
-    smooth = np.all(branch == branch[:, :1], axis=1) & unique.all(axis=1)
-    q = _hessian_from_stencil(values[smooth], 2 * domain.n, h)
-    return pts.shape[0], pts[smooth], core.complex_hessian_from_real(q)
+    anchor = envelope.barriers.xi[[np.argmax(envelope.phi_xi)]]
+    pts = verification_grid(envelope.domain, count, seed, anchors=anchor)
+    branch, unique, _ = envelope.branch_info(pts)
+    pts, branch = pts[unique], branch[unique]
+    return unique.size, pts, branch, envelope._hessians(pts, branch)
+
+
+def _summary(tested: int, branch, margins) -> ProbeSummary:
+    """ProbeSummary of the margins at the smooth points on branches ``branch``."""
+    return ProbeSummary(tested, len(branch), int(np.count_nonzero(branch)),
+                        float(margins.min()) if margins.size else 0.0)
 
 
 def msh_probe(
@@ -749,17 +740,17 @@ def msh_probe(
     count: int = 200,
     seed: int = 123,
 ) -> ProbeSummary:
-    """Cone membership of the finite-difference Hessian at smooth points."""
+    """Cone membership of the exact Hessian at smooth points.
+
+    ``min_margin`` is the least of min_k H_k / (1 + max|lambda|)^m over the
+    points, each point's margin taken relative to its own eigenvalues.
+    """
     m = envelope.m
-    tested, _, hessians = _smooth_hessians(envelope, count, seed)
+    tested, _, branch, hessians = _smooth_hessians(envelope, count, seed)
     eigs = np.linalg.eigvalsh(hessians)
-    margins = core.elementary_symmetric_all(eigs, m)[:, 1:].min(axis=1)
-    return ProbeSummary(
-        points_tested=tested,
-        points_smooth=len(hessians),
-        min_margin=float(margins.min()) if margins.size else 0.0,
-        scale=(1.0 + float(np.abs(eigs).max(initial=0.0))) ** m,
-    )
+    margins = (core.elementary_symmetric_all(eigs, m)[:, 1:].min(axis=1)
+               / (1.0 + np.abs(eigs).max(axis=1)) ** m)
+    return _summary(tested, branch, margins)
 
 
 def lalpha_probe(
@@ -772,7 +763,7 @@ def lalpha_probe(
     """Sampled subsolution test: l_alpha(v) >= f^(1/m) at smooth points."""
     n = envelope.domain.n
     m = envelope.m
-    tested, zs, hessians = _smooth_hessians(envelope, count, seed)
+    tested, zs, branch, hessians = _smooth_hessians(envelope, count, seed)
     # one (point, alpha tuple) stack of m-tuples (hessian, a_1, ..., a_{m-1})
     tuples = np.empty((len(zs), alpha_samples if m >= 2 else 1, m, n, n), dtype=complex)
     tuples[:, :, 0] = hessians[:, None]
@@ -784,9 +775,4 @@ def lalpha_probe(
         # Python float roots, as rounded when each point was taken alone
         target = np.array([v ** (1.0 / m) for v in np.asarray(f(zs), dtype=float).tolist()])
     margins = core.polarized_form(tuples) - target[:, None]
-    return ProbeSummary(
-        points_tested=tested,
-        points_smooth=len(hessians),
-        min_margin=float(margins.min()) if margins.size else 0.0,
-        scale=1.0,
-    )
+    return _summary(tested, branch, margins)

@@ -101,13 +101,6 @@ class Domain:
             return (self.radius, self.radius)
         return (1.0 / math.sqrt(max(self.coeffs)), 1.0 / math.sqrt(min(self.coeffs)))
 
-    def lipschitz_rho(self) -> float:
-        """Upper bound of |grad rho| on a neighbourhood of the closure."""
-        if self.kind == "ball":
-            return 2.0 * self.radius * 1.05
-        rmax = self.boundary_radius_range()[1]
-        return 2.0 * max(self.coeffs) * rmax * 1.05
-
 
 def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     """Min over k = 1..m of sigma_tilde_k(hess rho).

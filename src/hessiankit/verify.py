@@ -167,7 +167,7 @@ def suite_barrier(seed: int = 42) -> list:
     checks.append(
         _check("msh_probe", probe.min_margin >= -1e-6 * probe.scale,
                min_margin=probe.min_margin, smooth_points=probe.points_smooth,
-               points_tested=probe.points_tested)
+               near_points=probe.points_near, points_tested=probe.points_tested)
     )
 
     # the f > 0 subsolution inequality l_alpha(v) >= f^(1/m), for f = 1
@@ -175,9 +175,9 @@ def suite_barrier(seed: int = 42) -> list:
     env_f = barrier.build_subsolution(data_r, ones, dom, m=2, xi_count=60, seed=seed, f_sup=1.0)
     probe = barrier.lalpha_probe(env_f, ones, count=40, alpha_samples=12, seed=seed + 6)
     checks.append(
-        _check("lalpha_probe", probe.points_smooth > 0 and probe.min_margin >= -1e-6,
+        _check("lalpha_probe", probe.points_near > 0 and probe.min_margin >= -1e-6,
                min_margin=probe.min_margin, smooth_points=probe.points_smooth,
-               points_tested=probe.points_tested)
+               near_points=probe.points_near, points_tested=probe.points_tested)
     )
     return checks
 

@@ -6,7 +6,9 @@ the package (``BENCH_PINNED``); each must still be referenced by its bench
 file, so the map goes stale, and this test fails, once the benchmark drops
 one.  A private helper left behind when its last caller goes is dead code,
 and has no exceptions; neither has a private method (a non-dunder ``_name``
-defined in a class), which needs a reference outside its own body.
+defined in a class), which needs a reference outside its own body.  A
+public method needs one too, unless the benchmark reads it
+(``BENCH_PINNED_METHODS``, kept current like ``BENCH_PINNED``).
 
 The other way round, the surface the benchmark reads stays in the package:
 every module attribute a bench file names, the sampling parameters of
@@ -31,6 +33,9 @@ BENCH_PINNED = {
     "boundary_from_samples": "bench/workloads.py",
     "elementary_symmetric_enumerate": "bench/workloads.py",
     "l_alpha": "bench/workloads.py",
+}
+BENCH_PINNED_METHODS = {
+    "ModulusCurve.from_csv": "bench/workloads.py",
 }
 
 
@@ -87,9 +92,9 @@ def test_every_private_helper_has_a_src_caller():
     assert dead == []
 
 
-def private_methods():
-    """Yield (module, class, method definition) of each non-dunder ``_name``
-    method of a top-level class in src/."""
+def class_methods():
+    """Yield (module, class, method definition) of each non-dunder method of
+    a top-level class in src/."""
     for path in sorted(PACKAGE.glob("*.py")):
         for cls in ast.parse(path.read_text()).body:
             if not isinstance(cls, ast.ClassDef):
@@ -97,23 +102,37 @@ def private_methods():
             for node in cls.body:
                 if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     continue
-                dunder = node.name.startswith("__") and node.name.endswith("__")
-                if node.name.startswith("_") and not dunder:
+                if not (node.name.startswith("__") and node.name.endswith("__")):
                     yield path.stem, cls.name, node
 
 
-def test_every_private_method_has_a_src_caller():
+def uncalled_methods(private: bool):
+    """The private or the public methods referenced only inside their own body."""
     everywhere = Counter(
         name for path in PACKAGE.glob("*.py")
         for name in referenced_names(ast.parse(path.read_text()))
     )
-    methods = list(private_methods())
-    assert methods, "no private method found in src/"
-    dead = [
-        f"{module}.{cls}.{node.name}" for module, cls, node in methods
+    methods = [(module, cls, node) for module, cls, node in class_methods()
+               if node.name.startswith("_") == private]
+    assert methods, f"no {'private' if private else 'public'} method found in src/"
+    return [
+        f"{cls}.{node.name}" for module, cls, node in methods
         if everywhere[node.name] == Counter(referenced_names(node))[node.name]
     ]
-    assert dead == []
+
+
+def test_every_private_method_has_a_src_caller():
+    assert uncalled_methods(private=True) == []
+
+
+def test_every_public_method_has_a_src_caller():
+    assert sorted(uncalled_methods(private=False)) == sorted(BENCH_PINNED_METHODS)
+
+
+@pytest.mark.parametrize("name, bench_file", sorted(BENCH_PINNED_METHODS.items()))
+def test_bench_method_pin_is_current(name, bench_file):
+    tree = ast.parse((ROOT / bench_file).read_text())
+    assert name.split(".")[1] in set(referenced_names(tree)), f"{bench_file} no longer uses {name}"
 
 
 @pytest.mark.parametrize("name, bench_file", sorted(BENCH_PINNED.items()))

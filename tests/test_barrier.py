@@ -62,11 +62,25 @@ def single_barriers(env):
     ]
 
 
+def fd_stencil(z, h):
+    """Nodes z + s e_a + t e_b, shape (..., 2n, 2n, 2, 2, n), over the real
+    coordinate steps e_a of length h (interleaved: h, ih per coordinate) and
+    the signs s, t = +1, -1."""
+    n = np.shape(z)[-1]
+    e = h * np.stack([np.eye(n), 1j * np.eye(n)], axis=1).reshape(2 * n, n)
+    sign = np.array([1.0, -1.0])
+    return (np.asarray(z, dtype=complex)[..., None, None, None, None, :]
+            + e[:, None, None, None] * sign[:, None, None] + e[:, None, None] * sign[:, None])
+
+
 def fd_real_hessian(func, z, h):
-    """Dense 2n x 2n central-difference Hessian of func at the point z (n,),
-    in interleaved coordinates, from one batched call on the stencil."""
-    values = np.asarray(func(barrier.fd_stencil(z, h)), dtype=float)
-    return barrier._hessian_from_stencil(values, 2 * z.size, h)
+    """Dense 2n x 2n central-difference Hessians of func at the points z
+    (..., n), in interleaved coordinates, from one batched call: entry (a, b)
+    is (f(+,+) - f(+,-) - f(-,+) + f(-,-)) / (4 h^2) on the stencil nodes."""
+    nodes = fd_stencil(z, h)
+    values = np.asarray(func(nodes.reshape(-1, nodes.shape[-1])), dtype=float)
+    sign = np.array([1.0, -1.0])
+    return (values.reshape(nodes.shape[:-1]) * np.outer(sign, sign)).sum(axis=(-2, -1)) / (4 * h * h)
 
 
 class TestPointBarrier:
@@ -125,7 +139,7 @@ class TestPointBarrier:
         # omega of the glued barrier is controlled by omega_phi(sqrt t)
         data = barrier.boundary_re_z1(BALL)
         env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=3, seed=14)
-        lip_rho = BALL.lipschitz_rho()
+        lip_rho = 2.0 * 1.05  # a bound of |grad rho| = 2|z| near the closed unit ball
         for vb in single_barriers(env):
             # rays graded toward xi resolve the barrier's steepest part
             pts = barrier.verification_grid(BALL, 4000, seed=15, anchors=vb.barriers.xi)
@@ -448,6 +462,22 @@ class TestLeafSkip:
         assert np.isnan(got[~finite]).all() == (f_sup == 0.0)
 
 
+    @pytest.mark.parametrize("f_sup", [0.0, 1.0])
+    def test_far_outside_the_domain(self, f_sup):
+        # |z|^2 overflows to +inf at finite points: the far branch is the
+        # floor when f = 0 (K1 = 0) and +inf when f > 0, never NaN
+        data = barrier.boundary_re_z1(BALL)
+        env = barrier.build_subsolution(data, ones_density if f_sup else None, BALL, m=2,
+                                        xi_count=20, seed=76, f_sup=f_sup)
+        pts = np.array([[1e200, 0], [0, -1e200j], [1e300 + 1e300j, 1e300]], dtype=complex)
+        want = np.full(3, np.inf if f_sup else env.barriers.floor)
+        with np.errstate(over="ignore"):
+            got = env(pts)
+            branch, unique, top = env.branch_info(pts)
+        assert np.array_equal(got, want) and np.array_equal(top, want)
+        assert np.all(branch == 0) and unique.all()
+
+
 class TestLeafSkipPrunes:
     """Only a small share of the pairs reaches the modulus profile in
     ``__call__``; about a quarter of them lie inside B(xi, r1)."""
@@ -512,6 +542,7 @@ class TestOtherConfigurations:
         dense = barrier.build_subsolution(data, ones_density, dom, m=m, xi_count=120, seed=3, f_sup=1.0)
         result = barrier.lalpha_probe(dense, ones_density, count=30, alpha_samples=12, seed=36)
         assert result.points_smooth > 0
+        assert result.points_near > 0
         assert result.min_margin >= -1e-6
 
     def test_subharmonic_case_m1(self):
@@ -553,6 +584,41 @@ class TestProbes:
         a = core.complex_hessian_from_real(fd_real_hessian(func, z, h=1e-4))
         assert np.max(np.abs(a - np.eye(2))) <= 1e-7
 
+    @pytest.mark.parametrize(
+        "dom, spec, m, f_sup",
+        [
+            (BALL, "re_z1", 2, 0.0),
+            (BALL, "psi_sqrt", 2, 0.0),
+            (BALL, "re_z1", 2, 1.0),
+            (Domain.ellipsoid([1.0, 4.0]), "re_z1", 1, 0.0),
+            (Domain.ellipsoid([1.0, 4.0]), "re_z1", 2, 0.0),
+            (Domain.ball(3, 1.0), "re_z1", 2, 0.0),
+        ],
+        ids=["re_z1", "psi_sqrt", "re_z1-f1", "ellipsoid-m1", "ellipsoid-m2", "ball3"],
+    )
+    def test_exact_hessians_match_central_differences(self, dom, spec, m, f_sup):
+        # the closed-form branch Hessians against central differences of the
+        # implemented envelope, at points whose whole stencil sits on one
+        # branch that no other branch reaches: the bulk, and a ray toward
+        # the barrier with the largest data value, which reaches its near
+        # branch also when f > 0; measured <= 2.6e-6
+        data = barrier.make_boundary_data(spec, dom)
+        env = barrier.build_subsolution(data, ones_density if f_sup else None, dom, m=m,
+                                        xi_count=60, seed=31, f_sup=f_sup)
+        top = env.barriers.xi[np.argmax(env.phi_xi)]
+        pts = np.concatenate([geometry.sample_interior(dom, 300, seed=5),
+                              top * (1.0 - np.geomspace(0.01, 0.5, 40))[:, None]])
+        h = 1e-5
+        nodes = fd_stencil(pts, h)
+        branch, unique, _ = env.branch_info(nodes.reshape(-1, dom.n))
+        branch, unique = branch.reshape(len(pts), -1), unique.reshape(len(pts), -1)
+        smooth = np.all(branch == branch[:, :1], axis=1) & unique.all(axis=1)
+        assert smooth.sum() >= 300 and np.any(branch[smooth, 0] > 0)
+        exact = env._hessians(pts[smooth], branch[smooth, 0])
+        fd = core.complex_hessian_from_real(fd_real_hessian(env, pts[smooth], h))
+        err = np.abs(fd - exact).max(axis=(1, 2)) / (1.0 + np.abs(exact).max(axis=(1, 2)))
+        assert err.max() <= 1e-5
+
     def test_msh_probe(self):
         data = barrier.boundary_re_z1(BALL)
         env = barrier.build_subsolution(data, None, BALL, m=2, xi_count=60, seed=31)
@@ -560,16 +626,22 @@ class TestProbes:
         assert result.points_smooth >= 900
         assert result.min_margin >= -1e-6 * result.scale
 
+    def test_one_probe_point(self):
+        # count // 2 leaves no bulk sample; the grid keeps one beside its ray
+        env = barrier.build_subsolution(barrier.boundary_re_z1(BALL), None, BALL, m=2,
+                                        xi_count=10, seed=31)
+        assert barrier.msh_probe(env, count=1, seed=32).points_tested == 3
+
     @pytest.mark.parametrize("value", [-1.75, 0.0])
-    def test_msh_probe_skips_stencils_across_a_gluing_sphere(self, monkeypatch, value):
+    def test_msh_probe_skips_tied_branches(self, monkeypatch, value):
         # one barrier at xi = (1, 0) with flat data: inside B(xi, r1) its
-        # near branch ties with the far branch at the data value, outside it
-        # only the far branch is left.  Every probe point sits on the gluing
-        # sphere, so each stencil has nodes on both sides.
+        # near branch ties with the far branch at the data value, so no
+        # probe point there has a maximum attained once
         xi = np.array([[1, 0]], dtype=complex)
         env = barrier._envelope(xi, barrier.boundary_const(BALL, value), BALL, 2, 0.0)
-        monkeypatch.setattr(barrier, "sample_interior",
-                            lambda domain, count, seed: gluing_sphere_points(env, count, seed))
+        pts = geometry.sample_interior(BALL, 400, seed=80)
+        pts = pts[(np.abs(pts - xi) ** 2).sum(axis=1) < env.barriers.r1 ** 2][:100]
+        monkeypatch.setattr(barrier, "verification_grid", lambda *args, **kwargs: pts)
         result = barrier.msh_probe(env, count=100, seed=80)
         assert result.points_tested == 100
         assert result.points_smooth == 0
@@ -580,6 +652,7 @@ class TestProbes:
             data, ones_density, BALL, m=2, xi_count=40, seed=33, f_sup=1.0
         )
         result = barrier.msh_probe(env, count=80, seed=34)
+        assert result.points_near > 0
         assert result.min_margin >= -1e-6 * result.scale
 
     def test_lalpha_probe(self):
@@ -589,6 +662,7 @@ class TestProbes:
         )
         result = barrier.lalpha_probe(env, ones_density, count=30, alpha_samples=12, seed=36)
         assert result.points_smooth >= 20
+        assert result.points_near > 0
         assert result.min_margin >= -1e-6
 
 
