@@ -221,9 +221,9 @@ def _subset_spectra(tuples: np.ndarray):
         raise ArgumentError("a subset sum overflows: its eigenvalues are not finite")
     h = _symmetric_all(lam, m)
     terms = signs * (h[..., m] / math.comb(n, m))
-    total = 0.0
-    for j in range(signs.size):
-        total = total + terms[..., j]
+    # accumulate adds in subset order, never pairwise; + 0.0 turns a sum of
+    # -0.0 terms into 0.0, as a sum started at 0.0 would be
+    total = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
     return lam, h, total / math.factorial(m)
 
 

@@ -12,7 +12,9 @@ computable constant.  Points are complex vectors of length n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,16 +108,39 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     """Min over k = 1..m of sigma_tilde_k(hess rho).
 
     hess rho is constant on the model domains, so the value holds on every
-    neighbourhood of the closure.
+    neighbourhood of the closure.  It is a positive diagonal, so every
+    sigma_tilde_k is positive.  Where the double recurrence over- or
+    underflows, or ``eigvalsh`` loses a small eigenvalue beside a large
+    one, the sigma_tilde_k are recomputed from the diagonal as exact
+    rationals.  One outside the normal double range raises DomainError:
+    ellipsoid (1e-200, 1e-200), a ball of radius 1e100 in C^2, has
+    sigma_tilde_2 = 1e-400.
     """
     if not 1 <= m <= domain.n:
         raise ArgumentError(f"m={m} out of range for n={domain.n}")
     n = domain.n
-    h = elementary_symmetric_all(np.linalg.eigvalsh(domain.hess_rho()), m)
-    best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
-    if best <= 0:
-        raise DomainError(f"domain is not strongly {m}-pseudoconvex (A={best})")
-    return float(best)
+    low, high = sys.float_info.min, sys.float_info.max
+    hess = domain.hess_rho()
+    eigs = np.linalg.eigvalsh(hess)
+    try:
+        with np.errstate(over="raise", under="raise"):
+            h = elementary_symmetric_all(eigs, m)
+            best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
+        if best >= low:
+            return float(best)
+    except FloatingPointError:
+        pass
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for x in np.diag(hess).real.tolist():
+        for k in range(m, 0, -1):
+            h[k] += Fraction(x) * h[k - 1]
+    sigma = [h[k] / math.comb(n, k) for k in range(1, m + 1)]
+    for k, s in enumerate(sigma, 1):
+        if not low <= s <= high:
+            power = math.log10(s.numerator) - math.log10(s.denominator)
+            raise DomainError(f"sigma_tilde_{k}(hess rho) = 10^{power:.1f} lies outside "
+                              f"the normal double range [{low!r}, {high!r}]")
+    return float(min(sigma))
 
 
 def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:

@@ -438,6 +438,21 @@ def test_out_of_range_domain_exits_2(capsys, domain):
     assert "out of range" in captured.err
 
 
+@pytest.mark.parametrize("domain", ["ellipsoid:1e-200,1e-200", "ellipsoid:1.1e307,1.1e307"])
+def test_pseudoconvexity_outside_the_double_range_exits_2(capsys, tmp_path, domain):
+    # in-range coefficients whose sigma_tilde_2 under- or overflows: the
+    # first read "not strongly 2-pseudoconvex (A=0.0)", the second warned
+    # and ran on
+    argv = ["barrier", "--n", "2", "--m", "2", "--domain", domain, "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "outside the normal double range" in captured.err
+    assert not os.listdir(tmp_path)
+
+
 def test_tiny_ball_exits_2_in_time(tmp_path):
     # |z|^2 and r^2 both underflowed to 0, so interior sampling never ended
     src = os.path.dirname(os.path.dirname(hessiankit.__file__))

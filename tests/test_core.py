@@ -400,7 +400,42 @@ def tuple_stack(n, m, count, seed):
     return pd, (g + np.swapaxes(g.conj(), -1, -2)) / 2.0
 
 
+def loop_subset_total(terms, m):
+    """The polarized value as a loop from 0.0 over the subset terms."""
+    total = 0.0
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
+    return total / math.factorial(m)
+
+
 class TestStackedKernel:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_subset_terms_add_like_a_loop(self, m, monkeypatch):
+        # the terms, set through H_m, span 8 decades; further rows hold
+        # exact zeros and -0.0, and one sums -0.0 terms only
+        _, signs = core._subsets(m)
+        rng = np.random.default_rng(70 + m)
+        top = rng.standard_normal((7, signs.size)) * 10.0 ** rng.integers(-4, 5, (7, signs.size))
+        top[1] = 0.0
+        top[2] = -0.0 * signs
+        top[3, ::2] = -0.0
+        top[4, rng.random(signs.size) < 0.5] = -0.0
+        top[5, rng.random(signs.size) < 0.5] = 0.0
+        symmetric_all = core._symmetric_all
+
+        def set_top(lam, order):
+            h = symmetric_all(lam, order)
+            h[..., order] = top[: h.shape[0]] if h.ndim == 3 else top[0]
+            return h
+
+        monkeypatch.setattr(core, "_symmetric_all", set_top)
+        forms, _ = tuple_stack(m, m, 7, 200 + m)  # n = m: the terms are signs * H_m
+        for stack in (forms, forms[0]):
+            _, h, total = core._subset_spectra(stack)
+            want = loop_subset_total(signs * h[..., m], m)
+            assert np.array_equal(np.asarray(total).view(np.int64), np.asarray(want).view(np.int64))
+        assert np.signbit(signs * top[2]).all()
+
     @pytest.mark.parametrize("n, m", ORDERS)
     def test_polarized_form_matches_subset_loop(self, n, m):
         for stack in tuple_stack(n, m, 5, 10 * n + m):

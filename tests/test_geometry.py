@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from hessiankit import geometry
-from hessiankit.errors import ArgumentError
+from hessiankit.errors import ArgumentError, DomainError
 from hessiankit.geometry import Domain
 
 
@@ -81,6 +83,27 @@ class TestPseudoconvexity:
         assert geometry.pseudoconvexity_constant(e1, 2) == pytest.approx(2.5)
         e2 = Domain.ellipsoid([1.0, 1.0, 9.0])
         assert geometry.pseudoconvexity_constant(e2, 1) == pytest.approx(11.0 / 3.0)
+
+    @pytest.mark.parametrize("coeffs, power", [((1e-200, 1e-200), "-400.0"),
+                                               ((1.1e307, 1.1e307), "614.1")])
+    def test_outside_the_double_range(self, coeffs, power):
+        # sigma_tilde_2 = a_1 a_2 underflowed to A = 0 ("not strongly
+        # pseudoconvex"), or overflowed with a RuntimeWarning
+        dom = Domain.ellipsoid(coeffs)
+        assert geometry.pseudoconvexity_constant(dom, 1) == coeffs[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=rf"sigma_tilde_2\(hess rho\) = 10\^{power} "
+                                                  r"lies outside the normal double range"):
+                geometry.pseudoconvexity_constant(dom, 2)
+
+    def test_eigenvalues_lost_beside_a_large_one(self):
+        # eigvalsh scales this diagonal and returns 0 for its two small
+        # entries (numpy 2.4 with OpenBLAS), so A read 0; the exact
+        # sigma_tilde_3 is 2^-200
+        dom = Domain.ellipsoid([2.0**-600, 2.0**-600, 2.0**1000])
+        assert geometry.pseudoconvexity_constant(dom, 3) == 2.0**-200
+        assert geometry.pseudoconvexity_constant(dom, 2) == 2.0**401 / 3
 
 
 class TestBoundarySampling:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import sys
 import tracemalloc
@@ -317,6 +318,9 @@ def sampled_pair(pts, vals, bins, edges, budget=300_000, seed=3):
 
 
 class TestSampledPairsAgainstReference:
+    # budgets that end inside a filter slice, besides a few whole slices
+    BUDGETS = (1, 7, modulus.FILTER_SLICE + 1, 300_000)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_linear_geometric_and_single_bin(self, dim):
         rng = np.random.default_rng(20 + dim)
@@ -327,22 +331,27 @@ class TestSampledPairsAgainstReference:
         for bins, edges in ((30, np.linspace(0.0, diameter, 31)[1:]),
                             (geometric, geometric),
                             (1, np.array([diameter]))):
-            got, want = sampled_pair(pts, vals, bins, edges)
-            assert np.array_equal(got, want)
+            for budget in self.BUDGETS:
+                got, want = sampled_pair(pts, vals, bins, edges, budget)
+                assert np.array_equal(got, want)
 
     def test_one_dimensional_points(self):
-        x = np.random.default_rng(24).random(500)
-        edges = np.geomspace(1e-4, 1.0, 40)
-        got, want = sampled_pair(x, np.sqrt(x), edges, edges)
-        assert np.array_equal(got, want)
+        # at 2^20 + 3 points about one bounded draw in 4,000 is rejected and
+        # redrawn, so the i's a block skips must be drawn with the i's bound
+        for n in (500, 2**20 + 3):
+            x = np.random.default_rng(24).random(n)
+            edges = np.geomspace(1e-4, 1.0, 40)
+            got, want = sampled_pair(x, np.sqrt(x), edges, edges)
+            assert np.array_equal(got, want)
 
     def test_duplicate_points_and_tied_gaps(self):
         rng = np.random.default_rng(25)
         pts = np.round(rng.random((400, 2)), 1)  # a lattice: many duplicates
         vals = np.round(pts[:, 0] - 2.0 * pts[:, 1], 1)  # few distinct gaps
         edges = np.linspace(0.0, 1.5, 16)[1:]
-        got, want = sampled_pair(pts, vals, edges, edges)
-        assert np.array_equal(got, want)
+        for budget in self.BUDGETS:
+            got, want = sampled_pair(pts, vals, edges, edges, budget)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [8, 9])
     def test_many_coordinates(self, dim):
@@ -558,9 +567,10 @@ class TestLeafBound:
         assert peak <= 8e6  # measured 2.6 MB
 
 
-def test_sampled_path_keeps_one_block_of_draws():
-    # one block of int32 draws is 16 MB; int64 draws with the previous block
-    # still alive peak at 65.1 MB
+def test_sampled_path_keeps_one_slice_of_draws():
+    # a block's i's are replayed slice by slice beside its j's; drawing its
+    # 2M int32 i's whole peaks at 20.0 MB, and so did drawing its i's and
+    # j's whole (20.5 MB)
     pts, vals = half_holder_cloud(30000, 40)
     tracemalloc.start()
     try:
@@ -568,7 +578,31 @@ def test_sampled_path_keeps_one_block_of_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 32e6  # measured 23.6 MB
+    assert peak <= 8e6  # measured 5.1 MB
+
+
+@pytest.mark.parametrize("n", [2, 3, 20_001, 2**30])
+def test_bounded_draws_replay_slice_by_slice(n):
+    """The stream contract of the sampled path: bounded int32 draws take the
+    generator's 32-bit outputs in order, so m values drawn at once equal the
+    same m drawn slice by slice, a deep copy of the generator replays them,
+    and the generator ends in the same state either way.  The reference
+    ``sampled_modulus`` draws int64, which below 2^32 takes the same
+    outputs."""
+    m = 3 * 65_537 + 11
+    whole = np.random.default_rng(17)
+    want = whole.integers(0, n, m, dtype=np.int32)
+    assert np.array_equal(np.random.default_rng(17).integers(0, n, m), want)
+    for size in (7, 4_099, 65_537):
+        rng = np.random.default_rng(17)
+        copied = copy.deepcopy(rng)
+        got = [rng.integers(0, n, min(size, m - s), dtype=np.int32) for s in range(0, m, size)]
+        assert np.array_equal(np.concatenate(got), want)
+        assert rng.bit_generator.state == whole.bit_generator.state
+        again = [copied.integers(0, n, min(size, m - s), dtype=np.int32)
+                 for s in range(0, m, size)]
+        assert np.array_equal(np.concatenate(again), want)
+        assert copied.bit_generator.state == whole.bit_generator.state
 
 
 class TestConcaveMajorant:
