@@ -41,6 +41,7 @@ is attributable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,17 +98,14 @@ class BoundaryData:
 
 def _axis_point(domain: Domain, sign: float) -> np.ndarray:
     z = np.zeros(domain.n, dtype=complex)
-    if domain.kind == "ball":
-        z[0] = sign * domain.radius
-    else:
-        z[0] = sign / math.sqrt(domain.coeffs[0])
+    z[0] = sign * domain.semi_axes()[0]
     return z
 
 
 def boundary_re_z1(domain: Domain) -> BoundaryData:
     """phi(z) = Re z_1; exact modulus slope 1."""
     d = domain.diameter
-    x_max = abs(_axis_point(domain, 1.0)[0].real)
+    x_max = float(domain.semi_axes()[0])
     return BoundaryData(
         phi=lambda z: np.asarray(z, dtype=complex)[..., 0].real,
         omega_phi=linear_curve(1.0, d),
@@ -229,15 +227,23 @@ class BarrierParams:
 def cone_coefficient(domain: Domain, m: int) -> float:
     """Smallest power-of-two multiple of 1/A with B hess(rho) - I in the cone.
 
-    A is the pseudoconvexity constant; hess(rho) is constant on the model
-    domains, so one matrix decides.
+    A is the pseudoconvexity constant; hess(rho) is the constant diagonal
+    a, so the eigenvalues of B hess(rho) - I are B a - 1, sorted.  Where
+    they or the cone slack overflow, DomainError names the double range.
     """
     a_const = pseudoconvexity_constant(domain, m)
-    hess = domain.hess_rho()
+    diag = domain.hess_diag()
     for k in range(64):
         b = 2.0**k / a_const
-        eigs = np.linalg.eigvalsh(b * hess - np.eye(domain.n))
-        if core.gamma_m_contains(eigs, m).member:
+        with np.errstate(over="ignore"):
+            eigs = np.sort(b * diag - 1.0)
+            slack = core._cone_slack(eigs, m)
+        if not math.isfinite(slack):
+            raise DomainError(
+                f"B hess(rho) - I with B = {b!r} leaves the double range: B max(a) - 1 = "
+                f"{float(eigs[-1])!r} and its cone slack 1e-10 (1 + max|lambda|^{m}) = "
+                f"{float(slack)!r} must not exceed {sys.float_info.max!r}")
+        if core.gamma_m_contains(eigs, m, tol=slack).member:
             return b
     raise DomainError("no admissible cone coefficient found")
 
@@ -396,7 +402,7 @@ class BarrierEnvelope:
         p = self.barriers
         bar = self.omega_bar
         n = z.shape[-1]
-        hess_rho = self.domain.hess_rho()
+        diag = self.domain.hess_diag()
         out = np.tile(p.K1 * np.eye(n, dtype=complex), (len(z), 1, 1))
         near = branch > 0
         zn, k = z[near], branch[near] - 1
@@ -404,8 +410,8 @@ class BarrierEnvelope:
         x = np.sqrt(np.maximum(s - self._point_terms(zn)[0], 0.0))[:, None, None]
         slope = np.append(np.diff(bar.w) / np.diff(bar.t), 0.0)
         b = slope[np.searchsorted(bar.t, x, side="right") - 1]
-        v = (zn - p.xi[k]) - p.B * zn @ hess_rho
-        dx = ((np.eye(n) - p.B * hess_rho) / (2.0 * x)
+        v = (zn - p.xi[k]) - p.B * zn * diag
+        dx = (np.diag(1.0 - p.B * diag) / (2.0 * x)
               - v.conj()[:, :, None] * v[:, None, :] / (4.0 * x**3))
         out[near] -= p.gamma1 * b * dx
         return out

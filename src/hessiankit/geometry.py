@@ -1,19 +1,16 @@
 """Model domains: balls and axis-aligned ellipsoids in C^n.
 
-Both carry a global defining function rho with constant complex Hessian,
-
-    ball(R):            rho(z) = |z|^2 - R^2,          hess = I
-    ellipsoid(a_1..a_n): rho(z) = sum a_j |z_j|^2 - 1,  hess = diag(a)
-
-so they are strongly m-pseudoconvex for every m <= n with an explicitly
-computable constant.  Points are complex vectors of length n.
+Both are {rho < 0} for rho(z) = sum_j a_j |z_j|^2 - R^2 (a ball has a = 1,
+an ellipsoid R = 1), so hess rho = diag(a) is a constant positive diagonal,
+read directly, and both are strongly m-pseudoconvex for every m <= n with
+an explicitly computable constant.  Points are complex vectors of length n.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,8 +31,8 @@ SCALE_MAX = 2.0**1020
 class Domain:
     kind: str  # "ball" or "ellipsoid"
     n: int
+    coeffs: tuple  # the diagonal a of hess rho
     radius: float = 1.0
-    coeffs: tuple = field(default=())
 
     @staticmethod
     def ball(n: int, radius: float = 1.0) -> "Domain":
@@ -46,7 +43,7 @@ class Domain:
             raise ArgumentError(
                 f"ball radius {radius!r} out of range: its square must lie in "
                 f"[{SCALE_MIN!r}, {SCALE_MAX!r}]")
-        return Domain(kind="ball", n=n, radius=radius)
+        return Domain(kind="ball", n=n, coeffs=(1.0,) * n, radius=radius)
 
     @staticmethod
     def ellipsoid(coeffs) -> "Domain":
@@ -79,40 +76,37 @@ class Domain:
 
     def rho(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        if self.kind == "ball":
-            return (np.abs(z) ** 2).sum(axis=-1) - self.radius**2
-        a = np.asarray(self.coeffs)
-        return (a * np.abs(z) ** 2).sum(axis=-1) - 1.0
+        return (self.hess_diag() * np.abs(z) ** 2).sum(axis=-1) - self.radius**2
 
-    def hess_rho(self) -> np.ndarray:
-        if self.kind == "ball":
-            return np.eye(self.n, dtype=complex)
-        return np.diag(np.asarray(self.coeffs, dtype=complex))
+    def hess_diag(self) -> np.ndarray:
+        """The diagonal a of the constant complex Hessian of rho."""
+        return np.asarray(self.coeffs)
 
     # -- metric quantities ------------------------------------------------
 
+    def semi_axes(self) -> np.ndarray:
+        """R / sqrt(a_j): the boundary's distance from 0 along each z_j."""
+        return self.radius / np.sqrt(self.hess_diag())
+
     @property
     def diameter(self) -> float:
-        if self.kind == "ball":
-            return 2.0 * self.radius
-        return 2.0 / math.sqrt(min(self.coeffs))
+        return 2.0 * float(self.semi_axes().max())
 
     def boundary_radius_range(self) -> tuple[float, float]:
         """Min and max of |z| over the boundary."""
-        if self.kind == "ball":
-            return (self.radius, self.radius)
-        return (1.0 / math.sqrt(max(self.coeffs)), 1.0 / math.sqrt(min(self.coeffs)))
+        axes = self.semi_axes()
+        return (float(axes.min()), float(axes.max()))
 
 
 def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     """Min over k = 1..m of sigma_tilde_k(hess rho).
 
     hess rho is constant on the model domains, so the value holds on every
-    neighbourhood of the closure.  It is a positive diagonal, so every
-    sigma_tilde_k is positive.  Where the double recurrence over- or
-    underflows, or ``eigvalsh`` loses a small eigenvalue beside a large
-    one, the sigma_tilde_k are recomputed from the diagonal as exact
-    rationals.  One outside the normal double range raises DomainError:
+    neighbourhood of the closure.  It is a positive diagonal, read directly
+    and sorted ascending as its eigenvalues, so every sigma_tilde_k is
+    positive.  Where the double recurrence over- or underflows, the
+    sigma_tilde_k are recomputed from the diagonal as exact rationals.  One
+    outside the normal double range raises DomainError:
     ellipsoid (1e-200, 1e-200), a ball of radius 1e100 in C^2, has
     sigma_tilde_2 = 1e-400.
     """
@@ -120,8 +114,7 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
         raise ArgumentError(f"m={m} out of range for n={domain.n}")
     n = domain.n
     low, high = sys.float_info.min, sys.float_info.max
-    hess = domain.hess_rho()
-    eigs = np.linalg.eigvalsh(hess)
+    eigs = np.sort(domain.hess_diag())
     try:
         with np.errstate(over="raise", under="raise"):
             h = elementary_symmetric_all(eigs, m)
@@ -131,7 +124,7 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     except FloatingPointError:
         pass
     h = [Fraction(1)] + [Fraction(0)] * m
-    for x in np.diag(hess).real.tolist():
+    for x in eigs.tolist():
         for k in range(m, 0, -1):
             h[k] += Fraction(x) * h[k - 1]
     sigma = [h[k] / math.comb(n, k) for k in range(1, m + 1)]
@@ -163,9 +156,9 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
         g = rng.standard_normal((count, 2 * n))
         g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
         return (g[:, 0::2] + 1j * g[:, 1::2]) * domain.radius
-    a = np.asarray(domain.coeffs)
-    inv_sqrt = 1.0 / np.sqrt(a)
-    wmax = math.sqrt(max(domain.coeffs))
+    a = domain.hess_diag()
+    axes = domain.semi_axes()
+    wmax = math.sqrt(a.max())
     i = 0
     while i < count:
         g = rng.standard_normal(2 * n)
@@ -173,7 +166,7 @@ def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
         u = g[0::2] + 1j * g[1::2]
         weight = math.sqrt(float((a * np.abs(u) ** 2).sum()))
         if rng.random() * wmax <= weight:
-            out[i] = u * inv_sqrt
+            out[i] = u * axes
             i += 1
     return out
 
@@ -184,10 +177,7 @@ def sample_interior(domain: Domain, count: int, seed: int) -> np.ndarray:
         raise ArgumentError("count must be >= 1")
     rng = np.random.default_rng(seed)
     n = domain.n
-    if domain.kind == "ball":
-        half = np.full(n, domain.radius)
-    else:
-        half = 1.0 / np.sqrt(np.asarray(domain.coeffs))
+    half = domain.semi_axes()
     out = np.empty((count, n), dtype=complex)
     i = 0
     while i < count:

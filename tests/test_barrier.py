@@ -108,10 +108,28 @@ class TestPointBarrier:
         p = env.barriers
         assert p.r1 == 0.5 * BALL.diameter
         assert np.all(p.gamma1 >= BALL.diameter / p.r1)
-        eigs = np.linalg.eigvalsh(p.B * BALL.hess_rho() - np.eye(2))
+        eigs = np.linalg.eigvalsh(p.B * np.diag(BALL.hess_diag()) - np.eye(2))
         assert core.gamma_m_contains(eigs, 2).member
         assert p.K1 == 1.0
         assert p.K2 == pytest.approx(p.K1 * np.sum(np.abs(p.xi) ** 2, axis=1))
+
+    @pytest.mark.parametrize("coeffs, m, expected", [
+        ((1.0, 4.0), 2, 1.6),
+        ((0.3, 0.3, 0.3), 3, 37.03703703703704),
+        ((0.7, 1.3, 2.9), 2, 1.2244897959183672),
+    ])
+    def test_cone_coefficient_matches_the_eigensolver(self, coeffs, m, expected):
+        # B a - 1 read off the diagonal picks the B that the eigenvalues of
+        # B diag(a) - I picked: the smallest admissible power-of-two multiple
+        # of 1/A
+        dom = Domain.ellipsoid(coeffs)
+        b = barrier.cone_coefficient(dom, m)
+        assert b == expected
+        hess = np.diag(dom.hess_diag())
+        assert core.gamma_m_contains(np.linalg.eigvalsh(b * hess - np.eye(dom.n)), m).member
+        if b > 1.0 / geometry.pseudoconvexity_constant(dom, m):
+            half = np.linalg.eigvalsh(0.5 * b * hess - np.eye(dom.n))
+            assert not core.gamma_m_contains(half, m).member
 
     @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
     def test_invalid_density_bound_rejected(self, f_sup):

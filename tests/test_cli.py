@@ -453,6 +453,26 @@ def test_pseudoconvexity_outside_the_double_range_exits_2(capsys, tmp_path, doma
     assert not os.listdir(tmp_path)
 
 
+@pytest.mark.parametrize("n, m, domain", [(3, 3, "ellipsoid:1e-200,1e-200,1e200"),
+                                          (2, 2, "ellipsoid:1e-200,1e200")])
+def test_cone_coefficient_outside_the_double_range_exits_2(capsys, tmp_path, n, m, domain):
+    # B hess rho - I overflowed: the first warned and then read "eigenvalue
+    # input contains non-finite entries"; the second warned and passed with
+    # B hess rho - I = diag(-1, 1e200), outside Gamma_2, under an infinite
+    # cone slack
+    argv = ["barrier", "--n", str(n), "--m", str(m), "--domain", domain,
+            "--output-dir", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "B hess(rho) - I with B = " in captured.err
+    assert "leaves the double range" in captured.err
+    assert "must not exceed 1.7976931348623157e+308" in captured.err
+    assert not os.listdir(tmp_path)
+
+
 def test_tiny_ball_exits_2_in_time(tmp_path):
     # |z|^2 and r^2 both underflowed to 0, so interior sampling never ended
     src = os.path.dirname(os.path.dirname(hessiankit.__file__))

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -22,10 +23,27 @@ class TestDomain:
     def test_squared_semi_axes_in_range(self):
         # both ends of [2^-1020, 2^1020] are accepted, one ulp past either
         # end is not; the CLI runs at the ends (tests/test_cli.py)
+        # there the diameter, |z| range and axis points read off
+        # semi_axes() equal the per-kind closed forms bit for bit
+        from hessiankit import barrier
+
         lo, hi = geometry.SCALE_MIN, geometry.SCALE_MAX
         for r_sq in (lo, hi):
-            assert Domain.ball(2, np.sqrt(r_sq)).radius ** 2 == r_sq
+            radius = np.sqrt(r_sq)
+            ball = Domain.ball(2, radius)
+            assert ball.radius ** 2 == r_sq
+            assert ball.diameter == 2.0 * radius
+            assert ball.boundary_radius_range() == (radius, radius)
+            assert np.array_equal(barrier.boundary_re_z1(ball).anchors[:, 0], [-radius, radius])
             assert Domain.ellipsoid([1.0, r_sq]).coeffs == (1.0, r_sq)
+            for coeffs in ([1.0, r_sq], [r_sq, 1.0]):
+                dom = Domain.ellipsoid(coeffs)
+                assert dom.diameter == 2.0 / math.sqrt(min(coeffs))
+                assert dom.boundary_radius_range() == (1.0 / math.sqrt(max(coeffs)),
+                                                       1.0 / math.sqrt(min(coeffs)))
+                x = 1.0 / math.sqrt(coeffs[0])
+                data = barrier.boundary_re_z1(dom)
+                assert np.array_equal(data.anchors[:, 0], [-x, x]) and data.sup_phi == x
         for r_sq in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
             with pytest.raises(ArgumentError, match="out of range"):
                 Domain.ellipsoid([1.0, r_sq])
@@ -43,11 +61,14 @@ class TestDomain:
     def test_diameter(self):
         assert Domain.ball(2, 1.5).diameter == 3.0
         assert Domain.ellipsoid([1.0, 4.0]).diameter == 2.0
+        lo, hi = geometry.SCALE_MIN, geometry.SCALE_MAX
+        assert Domain.ellipsoid([hi, lo]).diameter == 2.0 / math.sqrt(lo) == 2.0**511
+        assert Domain.ellipsoid([hi, hi]).diameter == 2.0 / math.sqrt(hi) == 2.0**-509
 
     def test_gradient_matches_finite_differences(self):
         # rho = sum a_j |z_j|^2 - c, so d rho/dx_j + i d rho/dy_j = 2 a_j z_j
         for dom in (Domain.ball(2, 1.0), Domain.ellipsoid([1.0, 4.0, 2.0])):
-            a = np.ones(dom.n) if dom.kind == "ball" else np.asarray(dom.coeffs)
+            a = dom.hess_diag()
             pts = geometry.sample_interior(dom, 100, seed=2)
             h = 1e-6
             for z in pts[:100]:
@@ -69,7 +90,7 @@ class TestDomain:
             z = geometry.sample_interior(dom, 1, seed=3)[0]
             q = fd_real_hessian(lambda pts: dom.rho(pts), z, h=1e-4)
             a = core.complex_hessian_from_real(0.5 * (q + q.T))
-            assert np.max(np.abs(a - dom.hess_rho())) <= 1e-6
+            assert np.max(np.abs(a - np.diag(dom.hess_diag()))) <= 1e-6
 
 
 class TestPseudoconvexity:
@@ -98,12 +119,19 @@ class TestPseudoconvexity:
                 geometry.pseudoconvexity_constant(dom, 2)
 
     def test_eigenvalues_lost_beside_a_large_one(self):
-        # eigvalsh scales this diagonal and returns 0 for its two small
-        # entries (numpy 2.4 with OpenBLAS), so A read 0; the exact
-        # sigma_tilde_3 is 2^-200
+        # an eigensolver scales this diagonal and can return 0 for its two
+        # small entries (LAPACK does, numpy 2.4 with OpenBLAS), so A read 0;
+        # the diagonal read directly gives the exact sigma_tilde_3 = 2^-200
         dom = Domain.ellipsoid([2.0**-600, 2.0**-600, 2.0**1000])
         assert geometry.pseudoconvexity_constant(dom, 3) == 2.0**-200
         assert geometry.pseudoconvexity_constant(dom, 2) == 2.0**401 / 3
+
+    def test_diagonal_read_exactly_beside_a_large_entry(self):
+        # sigma_tilde_1 = (1 + 1e300) / 2 rounds to 5e299; an eigensolver
+        # rescaling this diagonal returned 1e300 off by an ulp, so A read
+        # 4.9999999999999995e+299
+        dom = Domain.ellipsoid([1.0, 1e300])
+        assert geometry.pseudoconvexity_constant(dom, 1) == 5e299
 
 
 class TestBoundarySampling:
