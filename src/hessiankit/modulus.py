@@ -9,7 +9,6 @@ exactly by a monotone-chain hull scan.
 
 from __future__ import annotations
 
-import copy
 import io
 import itertools
 from dataclasses import dataclass
@@ -20,13 +19,8 @@ from .errors import ArgumentError, ExtrapolationError
 
 PAIR_SUBSAMPLE_THRESHOLD = 20000
 PAIR_BUDGET = 20_000_000
-# pairs per block on the subsampled path, which fixes the rng stream: a
-# block's i's are drawn, then its j's; only one filter slice of them is
-# alive at a time
-PAIR_BLOCK = 2_000_000
-# the sampled path's int32 draws hold indices up to 2n - 2
-PAIR_INDEX_LIMIT = 2**30
-# pairs per filter slice; the curve's lower bound is refreshed after each
+# pairs per filter slice; the curve's lower bound is refreshed after each,
+# and each slice of the subsampled path draws its own i's, then its j's
 FILTER_SLICE = 2**16
 # that lower bound is kept per cell of d2, read from the top bits of d2:
 # 2^(52 - SHIFT) = 256 cells per octave
@@ -126,11 +120,10 @@ def estimate_modulus(
     Forms pairwise (|x - y|, |v(x) - v(y)|), takes the supremum of the value
     gaps inside each distance bin on [0, t_max], then a running maximum to
     enforce monotonicity.  All pairs are used up to ``pair_threshold``
-    points; beyond that a seeded random subset of ``pair_budget`` pairs.
-    Those pairs are drawn in blocks of ``PAIR_BLOCK`` (i's, then j's), but
-    only one ``FILTER_SLICE`` of them is held at a time: a copy of the
-    generator replays the block's i's beside its j's, bit for bit.  At
-    30,000 points the sampled path allocates about 5.1 MB in all.
+    points; beyond that a seeded random subset of ``pair_budget`` pairs,
+    drawn one ``FILTER_SLICE`` at a time (its i's, then its j's), so a
+    smaller budget's pairs are a prefix of a larger one's.  At 30,000
+    points the sampled path allocates about 5.1 MB in all.
 
     ``bins`` may be a count (linear bins) or an ascending array of positive
     bin right-edges, e.g. geometric edges when small separations matter.
@@ -156,8 +149,6 @@ def estimate_modulus(
         raise ArgumentError("pair_budget must be >= 1")
     if seed < 0:
         raise ArgumentError("seed must be >= 0")
-    if n > pair_threshold and n > PAIR_INDEX_LIMIT:
-        raise ArgumentError(f"the sampled path takes at most {PAIR_INDEX_LIMIT} points")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vals))):
         raise ArgumentError("points and values must be finite")
     if t_max is not None and not t_max > 0:
@@ -208,43 +199,30 @@ def estimate_modulus(
                 curve.add(gaps, _square_sum(col[r, None] - col[None, s:e] for col in cols))
     else:
         rng = np.random.default_rng(seed)
-        # one slice of indices and gathers, reused: fresh arrays of a few MB
-        # per slice go back to the system and fault in again at every slice
-        ii, jj = np.empty((2, FILTER_SLICE), dtype=np.intp)
+        # one slice of gathers, reused: fresh arrays of a few MB per slice
+        # go back to the system and fault in again at every slice
         buf = np.empty((4, FILTER_SLICE))
-        remaining = int(pair_budget)
-        while remaining > 0:
-            m = min(PAIR_BLOCK, remaining)
-            # a block draws its m i's, then its m j's; a bounded int32 draw
-            # takes the generator's 32-bit outputs in order, so m values are
-            # the same drawn slice by slice: rng skips the i's, and a copy
-            # taken before replays them beside the j's
-            first = copy.deepcopy(rng)
-            for s in range(0, m, FILTER_SLICE):
-                rng.integers(0, n, min(FILTER_SLICE, m - s), dtype=np.int32)
-            for s in range(0, m, FILTER_SLICE):
-                size = min(FILTER_SLICE, m - s)
-                i = first.integers(0, n, size, dtype=np.int32)
-                j = rng.integers(0, n - 1, size, dtype=np.int32)  # then j = (i + 1 + j) % n
-                j += i
-                j += 1
-                j %= n
-                ii[:size], jj[:size] = i, j  # as intp, which take reads unconverted
-                i, j = ii[:size], jj[:size]
-                # the indices are in range, so mode="wrap" gathers straight
-                # into out, where mode="raise" gathers into a copy first
-                gaps, d2, diff, other = buf[:, :size]
-                vals.take(i, out=gaps, mode="wrap")
-                gaps -= vals.take(j, out=other, mode="wrap")
-                np.abs(gaps, out=gaps)
-                # _square_sum adds every later coordinate's squares into the
-                # first's: the first differences go to d2, the others to diff
-                outs = itertools.chain([d2], itertools.repeat(diff))
-                curve.add(gaps, _square_sum(
-                    np.subtract(col.take(i, out=out, mode="wrap"),
-                                col.take(j, out=other, mode="wrap"), out=out)
-                    for col, out in zip(cols, outs)))
-            remaining -= m
+        budget = int(pair_budget)
+        for s in range(0, budget, FILTER_SLICE):
+            size = min(FILTER_SLICE, budget - s)
+            i = rng.integers(0, n, size)
+            j = rng.integers(0, n - 1, size)  # then j = (i + 1 + j) % n
+            j += i
+            j += 1
+            j %= n
+            # the indices are in range, so mode="wrap" gathers straight
+            # into out, where mode="raise" gathers into a copy first
+            gaps, d2, diff, other = buf[:, :size]
+            vals.take(i, out=gaps, mode="wrap")
+            gaps -= vals.take(j, out=other, mode="wrap")
+            np.abs(gaps, out=gaps)
+            # _square_sum adds every later coordinate's squares into the
+            # first's: the first differences go to d2, the others to diff
+            outs = itertools.chain([d2], itertools.repeat(diff))
+            curve.add(gaps, _square_sum(
+                np.subtract(col.take(i, out=out, mode="wrap"),
+                            col.take(j, out=other, mode="wrap"), out=out)
+                for col, out in zip(cols, outs)))
 
     w = np.maximum.accumulate(curve.sup[:-1])
     t = np.concatenate(([0.0], edges))
@@ -345,7 +323,13 @@ def _leaf_order(cols, leaf=LEAF):
 
 
 def _diameter_estimate(pts) -> float:
-    d = float(np.sqrt(((pts.max(axis=0) - pts.min(axis=0)) ** 2).sum()))
+    ext = pts.max(axis=0) - pts.min(axis=0)
+    with np.errstate(over="ignore", under="ignore"):
+        d = float(np.sqrt((ext**2).sum()))
+        if d in (0.0, np.inf) and ext.any() and np.all(np.isfinite(ext)):
+            # the squares leave the double range: scale by the largest extent
+            top = ext.max()
+            d = float(top * np.sqrt(((ext / top) ** 2).sum()))
     return d if d > 0 else 1.0
 
 
@@ -356,25 +340,24 @@ def concave_majorant(curve: ModulusCurve) -> ModulusCurve:
     exactly when it lies strictly below the chord of its hull neighbours, so
     concave inputs (including collinear runs) come back unchanged and the
     operation is idempotent.  The scan runs on Python floats, whose
-    arithmetic is the same IEEE double arithmetic as numpy's scalars.
+    arithmetic is the same IEEE double arithmetic as numpy's scalars, on t
+    and w scaled by powers of two to a largest knot in [0.5, 1): the
+    scaling is exact, and the cross products cannot overflow, nor underflow
+    as the curve's scale shrinks.  The hull keeps the curve's own knots.
     """
-    t = curve.t.tolist()
-    w = curve.w.tolist()
-    hull_t = [t[0]]
-    hull_w = [w[0]]
+    t = np.ldexp(curve.t, -np.frexp(curve.t[-1])[1]).tolist()
+    w = np.ldexp(curve.w, -np.frexp(curve.w[-1])[1]).tolist()
+    hull = [0]
     for i in range(1, len(t)):
-        while len(hull_t) >= 2:
-            cross = (hull_t[-1] - hull_t[-2]) * (w[i] - hull_w[-2]) - (
-                hull_w[-1] - hull_w[-2]
-            ) * (t[i] - hull_t[-2])
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            cross = (t[b] - t[a]) * (w[i] - w[a]) - (w[b] - w[a]) * (t[i] - t[a])
             if cross > 0.0:  # middle knot strictly below the chord
-                hull_t.pop()
-                hull_w.pop()
+                hull.pop()
             else:
                 break
-        hull_t.append(t[i])
-        hull_w.append(w[i])
-    return ModulusCurve(np.array(hull_t), np.array(hull_w))
+        hull.append(i)
+    return ModulusCurve(curve.t[hull], curve.w[hull])
 
 
 @dataclass

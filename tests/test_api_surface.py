@@ -8,7 +8,9 @@ one.  A private helper left behind when its last caller goes is dead code,
 and has no exceptions; neither has a private method (a non-dunder ``_name``
 defined in a class), which needs a reference outside its own body.  A
 public method needs one too, unless the benchmark reads it
-(``BENCH_PINNED_METHODS``, kept current like ``BENCH_PINNED``).
+(``BENCH_PINNED_METHODS``, kept current like ``BENCH_PINNED``).  So does
+every module-level UPPER_CASE constant: one that nothing in ``src/`` reads
+is a leftover of removed code.
 
 The other way round, the surface the benchmark reads stays in the package:
 every module attribute a bench file names, the sampling parameters of
@@ -127,6 +129,33 @@ def test_every_private_method_has_a_src_caller():
 
 def test_every_public_method_has_a_src_caller():
     assert sorted(uncalled_methods(private=False)) == sorted(BENCH_PINNED_METHODS)
+
+
+def module_constants():
+    """Yield (module, name) of each module-level UPPER_CASE assignment in src/."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and node.id.isupper():
+                        yield path.stem, node.id
+
+
+def test_every_module_constant_has_a_src_reader():
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in PACKAGE.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    constants = list(module_constants())
+    assert constants, "no module constant found in src/"
+    assert [f"{module}.{name}" for module, name in constants if name not in read] == []
 
 
 @pytest.mark.parametrize("name, bench_file", sorted(BENCH_PINNED_METHODS.items()))

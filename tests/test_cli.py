@@ -192,6 +192,19 @@ class TestModulusCommand:
         assert code == 2 and captured.out == ""
         assert "input CSV has no data rows" in captured.err
 
+    def test_coordinates_beyond_the_squared_range_exit_0(self, capsys, tmp_path):
+        # the squared extents of 1e160-scaled coordinates overflow
+        x = np.random.default_rng(2).random((200, 2))
+        path = tmp_path / "points.csv"
+        np.savetxt(path, np.column_stack((1e160 * x, x.sum(axis=1))), delimiter=",",
+                   header="x1,x2,value", comments="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_cli(capsys, ["modulus", "--input", str(path), "--bins", "20"])
+        assert code == 0
+        diameter = np.hypot(*(x.max(axis=0) - x.min(axis=0)))
+        assert json_part(out)["result"]["t_max"] == pytest.approx(1e160 * diameter, rel=1e-14)
+
     def test_nan_row_exits_2(self, capsys, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("x1,value\n0.0,0.0\n0.5,nan\n1.0,1.0\n")

@@ -1,4 +1,3 @@
-import copy
 import itertools
 import sys
 import tracemalloc
@@ -131,13 +130,6 @@ class TestEstimateModulus:
         with pytest.raises(ArgumentError, match="seed"):
             modulus.estimate_modulus(x, x, bins=4, seed=-1, pair_threshold=10)
 
-    def test_sampled_path_index_limit(self):
-        # zero-stride views: the limit is checked before any array of n is made
-        n = modulus.PAIR_INDEX_LIMIT + 1
-        x = np.broadcast_to(np.array(0.5), (n,))
-        with pytest.raises(ArgumentError, match="at most"):
-            modulus.estimate_modulus(x, x, bins=4)
-
     def test_too_few_points(self):
         with pytest.raises(ArgumentError):
             modulus.estimate_modulus(np.array([[0.0]]), np.array([1.0]), bins=4)
@@ -163,6 +155,21 @@ class TestEstimateModulus:
         edges = np.geomspace(1e-2, 1.0, 40)
         curve = modulus.estimate_modulus(x, x, bins=edges, t_max=1.0)
         assert curve.t[1] == edges[0] and curve.length == 1.0
+
+    @pytest.mark.parametrize("scale", [1e154, 1e160, 1e-170])
+    def test_diameter_beyond_the_squared_range(self, scale):
+        # the squared extents overflow from about 1e154 and underflow below
+        # about 1e-162; the diameter, and so t_max, still scales with the points
+        x = np.random.default_rng(1).random((500, 3))
+        vals = np.sin(4.0 * x.sum(axis=1))
+        want = scale * modulus._diameter_estimate(x)
+        assert modulus._diameter_estimate(scale * x) == pytest.approx(want, rel=1e-14)
+        curve = modulus.estimate_modulus(scale * x, vals, bins=50)
+        assert curve.length == pytest.approx(want, rel=1e-14)
+        with np.errstate(over="ignore", under="ignore"):
+            assert np.array_equal(curve.w, pairwise_modulus(scale * x, vals, curve.t[1:]))
+        if scale == 1e154:  # most pairs' d2 is still finite
+            assert curve.w[1] < curve.w[-1]
 
 
 def distance(diff):
@@ -288,16 +295,14 @@ class TestExactPairsAgainstReference:
 def sampled_modulus(pts, vals, edges, seed, pair_budget):
     """Reference estimate on the subsampled path: every drawn pair is binned.
 
-    This is the seeded loop of estimate_modulus before pairs were filtered,
-    including its 2,000,000-pair draws, with d2 summed in coordinate order.
+    Each filter slice of pairs draws its i's, then its j's, as in
+    estimate_modulus, and d2 is summed in coordinate order.
     """
     n = len(vals)
     sup = np.zeros(edges.size)
     rng = np.random.default_rng(seed)
-    remaining = int(pair_budget)
-    chunk = 2_000_000
-    while remaining > 0:
-        m = min(chunk, remaining)
+    for s in range(0, pair_budget, modulus.FILTER_SLICE):
+        m = min(modulus.FILTER_SLICE, pair_budget - s)
         i = rng.integers(0, n, m)
         j = (i + 1 + rng.integers(0, n - 1, m)) % n
         dist = distance(pts[i] - pts[j])
@@ -305,7 +310,6 @@ def sampled_modulus(pts, vals, edges, seed, pair_budget):
         keep = dist <= edges[-1]
         idx = np.searchsorted(edges, dist[keep], side="left")
         np.maximum.at(sup, idx, gaps[keep])
-        remaining -= m
     return np.concatenate(([0.0], np.maximum.accumulate(sup)))
 
 
@@ -337,7 +341,7 @@ class TestSampledPairsAgainstReference:
 
     def test_one_dimensional_points(self):
         # at 2^20 + 3 points about one bounded draw in 4,000 is rejected and
-        # redrawn, so the i's a block skips must be drawn with the i's bound
+        # redrawn, which shifts the rest of the stream
         for n in (500, 2**20 + 3):
             x = np.random.default_rng(24).random(n)
             edges = np.geomspace(1e-4, 1.0, 40)
@@ -381,13 +385,15 @@ class TestSampledPairsAgainstReference:
             assert np.array_equal(modulus.estimate_modulus(pts, vals, bins=edges).w,
                                   pairwise_modulus(pts, vals, edges))
 
-    def test_across_a_draw_boundary(self):
-        rng = np.random.default_rng(31)
-        pts = rng.random((2000, 2))
-        vals = np.abs(pts[:, 0] - 0.5) ** 0.5 + pts[:, 1]
-        edges = np.linspace(0.0, 1.5, 101)[1:]
-        got, want = sampled_pair(pts, vals, edges, edges, budget=modulus.PAIR_BLOCK + 70_000)
-        assert np.array_equal(got, want)
+    def test_larger_budget_never_lowers_the_curve(self):
+        # each slice draws its own pairs, so a smaller budget's pairs are a
+        # prefix of a larger one's
+        pts, vals = half_holder_cloud(3000, 5)
+        curves = [modulus.estimate_modulus(pts, vals, bins=100, seed=5, pair_threshold=10,
+                                           pair_budget=k * modulus.FILTER_SLICE).w
+                  for k in (1, 2, 3, 8)]
+        for lower, higher in itertools.pairwise(curves):
+            assert np.all(lower <= higher)
 
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
@@ -568,9 +574,8 @@ class TestLeafBound:
 
 
 def test_sampled_path_keeps_one_slice_of_draws():
-    # a block's i's are replayed slice by slice beside its j's; drawing its
-    # 2M int32 i's whole peaks at 20.0 MB, and so did drawing its i's and
-    # j's whole (20.5 MB)
+    # each slice draws its own pairs; drawing 2M pairs at a time peaked at
+    # 20.5 MB
     pts, vals = half_holder_cloud(30000, 40)
     tracemalloc.start()
     try:
@@ -579,30 +584,6 @@ def test_sampled_path_keeps_one_slice_of_draws():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6  # measured 5.1 MB
-
-
-@pytest.mark.parametrize("n", [2, 3, 20_001, 2**30])
-def test_bounded_draws_replay_slice_by_slice(n):
-    """The stream contract of the sampled path: bounded int32 draws take the
-    generator's 32-bit outputs in order, so m values drawn at once equal the
-    same m drawn slice by slice, a deep copy of the generator replays them,
-    and the generator ends in the same state either way.  The reference
-    ``sampled_modulus`` draws int64, which below 2^32 takes the same
-    outputs."""
-    m = 3 * 65_537 + 11
-    whole = np.random.default_rng(17)
-    want = whole.integers(0, n, m, dtype=np.int32)
-    assert np.array_equal(np.random.default_rng(17).integers(0, n, m), want)
-    for size in (7, 4_099, 65_537):
-        rng = np.random.default_rng(17)
-        copied = copy.deepcopy(rng)
-        got = [rng.integers(0, n, min(size, m - s), dtype=np.int32) for s in range(0, m, size)]
-        assert np.array_equal(np.concatenate(got), want)
-        assert rng.bit_generator.state == whole.bit_generator.state
-        again = [copied.integers(0, n, min(size, m - s), dtype=np.int32)
-                 for s in range(0, m, size)]
-        assert np.array_equal(np.concatenate(again), want)
-        assert copied.bit_generator.state == whole.bit_generator.state
 
 
 class TestConcaveMajorant:
@@ -639,6 +620,23 @@ class TestConcaveMajorant:
             oracle = brute_force_majorant(c)
             hull = modulus.concave_majorant(c)(c.t)
             assert np.array_equal(hull, oracle)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e-200])
+    def test_chord_at_any_scale(self, scale):
+        # at 1e160 the unscaled cross products overflow, at 1e-200 they underflow
+        c = ModulusCurve(scale * np.array([0.0, 1.0, 2.0, 3.0]), scale * np.array([0.0, 1.0, 1.1, 3.0]))
+        maj = modulus.concave_majorant(c)
+        assert np.array_equal(maj.t, c.t[[0, 1, 3]]) and np.array_equal(maj.w, c.w[[0, 1, 3]])
+
+    def test_hull_commutes_with_powers_of_two(self):
+        rng = np.random.default_rng(10)
+        for _ in range(60):
+            c = random_curve(rng, max_knots=20)
+            maj = modulus.concave_majorant(c)
+            for k in (-900, 900):
+                scaled = modulus.concave_majorant(ModulusCurve(np.ldexp(c.t, k), np.ldexp(c.w, k)))
+                assert np.array_equal(scaled.t, np.ldexp(maj.t, k))
+                assert np.array_equal(scaled.w, np.ldexp(maj.w, k))
 
     def test_float_scan_matches_numpy_scalar_scan(self):
         rng = np.random.default_rng(9)
