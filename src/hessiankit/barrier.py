@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -225,27 +226,26 @@ class BarrierParams:
 
 
 def cone_coefficient(domain: Domain, m: int) -> float:
-    """Smallest power-of-two multiple of 1/A with B hess(rho) - I in the cone.
+    """The double 2^k / A for the least k >= 0 with B hess(rho) - I in the cone.
 
-    A is the pseudoconvexity constant; hess(rho) is the constant diagonal
-    a, so the eigenvalues of B hess(rho) - I are B a - 1, sorted.  Where
-    they or the cone slack overflow, DomainError names the double range.
+    A is the pseudoconvexity constant.  With A = p / q as a rational, B a - 1
+    is a positive multiple of 2^k q a - p, tested exactly: all of its H_1..H_m
+    are >= 0.  Every entry is >= 0 once B >= 1 / min(a); if B max(a) leaves
+    the double range first, DomainError says so.
     """
-    a_const = pseudoconvexity_constant(domain, m)
-    diag = domain.hess_diag()
-    for k in range(64):
-        b = 2.0**k / a_const
-        with np.errstate(over="ignore"):
-            eigs = np.sort(b * diag - 1.0)
-            slack = core._cone_slack(eigs, m)
-        if not math.isfinite(slack):
-            raise DomainError(
-                f"B hess(rho) - I with B = {b!r} leaves the double range: B max(a) - 1 = "
-                f"{float(eigs[-1])!r} and its cone slack 1e-10 (1 + max|lambda|^{m}) = "
-                f"{float(slack)!r} must not exceed {sys.float_info.max!r}")
-        if core.gamma_m_contains(eigs, m, tol=slack).member:
+    b = 1.0 / pseudoconvexity_constant(domain, m)
+    a = domain.coeffs
+    h, den = core._exact_symmetric(a, m)
+    p, q = min(Fraction(h[j], math.comb(domain.n, j) * den**j)
+               for j in range(1, m + 1)).as_integer_ratio()
+    while math.isfinite(b * max(a)):
+        v = [Fraction(x) * q - p for x in a]
+        neg = sum(x < 0 for x in v)  # at most n - m in the closed Gamma_m
+        if neg == 0 or neg <= domain.n - m and min(core._exact_symmetric(v, m)[0]) >= 0:
             return b
-    raise DomainError("no admissible cone coefficient found")
+        b, q = 2.0 * b, 2 * q  # doubling is exact: b is the double 2^k / A
+    raise DomainError(f"B hess(rho) - I with B = {b!r} leaves the double range: B max(a) = "
+                      f"{b * max(a)!r} must not exceed {sys.float_info.max!r}")
 
 
 def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> ModulusCurve:

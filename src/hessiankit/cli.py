@@ -142,14 +142,13 @@ def cmd_barrier(args) -> int:
     domain = geometry.Domain.parse(args.domain, n=args.n)
     data = barrier.make_boundary_data(args.phi, domain)
     if args.f == "zero":
-        f, f_sup = None, 0.0
+        f_sup = 0.0
     elif args.f.startswith("const:"):
-        c = spec_number(args.f.split(":", 1)[1], args.f)
-        f, f_sup = (lambda z: np.full(np.asarray(z).shape[0], c)), c
+        f_sup = spec_number(args.f.split(":", 1)[1], args.f)
     else:
         raise ArgumentError(f"unknown density spec {args.f!r}")
     env = barrier.build_subsolution(
-        data, f, domain, m=args.m, xi_count=args.xi_samples, seed=args.seed, f_sup=f_sup
+        data, None, domain, m=args.m, xi_count=args.xi_samples, seed=args.seed, f_sup=f_sup
     )
     rep = barrier.verify_modulus_bound(
         env, data, domain, m=args.m, f_sup_norm=f_sup,

@@ -76,6 +76,21 @@ def _symmetric_all(lam: np.ndarray, m: int) -> np.ndarray:
     return coeffs.T
 
 
+def _exact_symmetric(values, m: int) -> tuple[list, int]:
+    """H_0..H_m of dyadic rationals exactly: H_k = h[k] / den**k, the values
+    scaled to Python ints over one power-of-two denominator den, so the
+    recurrence neither rounds nor takes a gcd, and h[k] has the sign of H_k.
+    """
+    ratios = [x.as_integer_ratio() for x in values]
+    den = max(d for _, d in ratios)
+    h = [1] + [0] * m
+    for p, d in ratios:
+        x = p * (den // d)
+        for k in range(m, 0, -1):
+            h[k] += x * h[k - 1]
+    return h, den
+
+
 def elementary_symmetric_enumerate(values, k: int) -> float:
     """Subset-enumeration evaluation of H_k, for cross-checking only.
 

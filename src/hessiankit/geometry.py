@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import elementary_symmetric_all
+from .core import _exact_symmetric, elementary_symmetric_all
 from .errors import ArgumentError, DomainError, spec_number
 
 
@@ -114,20 +114,16 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
         raise ArgumentError(f"m={m} out of range for n={domain.n}")
     n = domain.n
     low, high = sys.float_info.min, sys.float_info.max
-    eigs = np.sort(domain.hess_diag())
     try:
         with np.errstate(over="raise", under="raise"):
-            h = elementary_symmetric_all(eigs, m)
+            h = elementary_symmetric_all(np.sort(domain.hess_diag()), m)
             best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
         if best >= low:
             return float(best)
     except FloatingPointError:
         pass
-    h = [Fraction(1)] + [Fraction(0)] * m
-    for x in eigs.tolist():
-        for k in range(m, 0, -1):
-            h[k] += Fraction(x) * h[k - 1]
-    sigma = [h[k] / math.comb(n, k) for k in range(1, m + 1)]
+    h, den = _exact_symmetric(domain.coeffs, m)
+    sigma = [Fraction(h[k], math.comb(n, k) * den**k) for k in range(1, m + 1)]
     for k, s in enumerate(sigma, 1):
         if not low <= s <= high:
             power = math.log10(s.numerator) - math.log10(s.denominator)
@@ -139,35 +135,25 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
 def sample_boundary(domain: Domain, count: int, seed: int) -> np.ndarray:
     """Seeded boundary samples, asymptotically uniform in surface measure.
 
-    Ball: Gaussian directions projected to the sphere.  Ellipsoid: sphere
-    samples mapped through z_j = u_j / sqrt(a_j) and thinned by rejection
-    with the surface-area distortion weight sqrt(sum a_j |u_j|^2) / max.
-    Samples are drawn sequentially, so for a fixed seed the first k points
-    of a longer run coincide with a shorter run.
+    Gaussian directions u on the unit sphere map to z_j = R u_j / sqrt(a_j),
+    thinned by rejection with weight sqrt(sum a_j |u_j|^2) / sqrt(max a), 1 on
+    a ball.  Directions come from ``default_rng(seed)`` and acceptance uniforms
+    from a child of its seed sequence, both in candidate order, so a ball takes
+    the first ``count`` directions and a shorter run is a prefix of a longer.
     """
     if count < 1:
         raise ArgumentError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    n = domain.n
-    out = np.empty((count, n), dtype=complex)
-    if domain.kind == "ball":
-        # one batched draw consumes the stream exactly like per-sample
-        # draws, so the prefix property is preserved
-        g = rng.standard_normal((count, 2 * n))
-        g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
-        return (g[:, 0::2] + 1j * g[:, 1::2]) * domain.radius
+    accept = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     a = domain.hess_diag()
-    axes = domain.semi_axes()
-    wmax = math.sqrt(a.max())
-    i = 0
-    while i < count:
-        g = rng.standard_normal(2 * n)
-        g /= np.sqrt((g**2).sum())
-        u = g[0::2] + 1j * g[1::2]
-        weight = math.sqrt(float((a * np.abs(u) ** 2).sum()))
-        if rng.random() * wmax <= weight:
-            out[i] = u * axes
-            i += 1
+    out = np.empty((0, domain.n), dtype=complex)
+    while len(out) < count:
+        g = rng.standard_normal((count - len(out), 2 * domain.n))
+        g /= np.sqrt((g**2).sum(axis=1, keepdims=True))
+        u = g[:, 0::2] + 1j * g[:, 1::2]
+        weight = np.sqrt((a * np.abs(u) ** 2).sum(axis=1))
+        keep = accept.random(len(u)) * math.sqrt(a.max()) <= weight
+        out = np.concatenate([out, u[keep] * domain.semi_axes()])
     return out
 
 

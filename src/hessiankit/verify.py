@@ -172,7 +172,7 @@ def suite_barrier(seed: int = 42) -> list:
 
     # the f > 0 subsolution inequality l_alpha(v) >= f^(1/m), for f = 1
     ones = lambda z: np.ones(np.asarray(z).shape[0])
-    env_f = barrier.build_subsolution(data_r, ones, dom, m=2, xi_count=60, seed=seed, f_sup=1.0)
+    env_f = barrier.build_subsolution(data_r, None, dom, m=2, xi_count=60, seed=seed, f_sup=1.0)
     probe = barrier.lalpha_probe(env_f, ones, count=40, alpha_samples=12, seed=seed + 6)
     checks.append(
         _check("lalpha_probe", probe.points_near > 0 and probe.min_margin >= -1e-6,

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,24 @@ from hessiankit.errors import ArgumentError
 from hessiankit.geometry import Domain
 
 BALL = Domain.ball(2, 1.0)
+
+
+CONE_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 1e4)
+
+
+def exact_cone_h(coeffs, m, k):
+    """H_1..H_m of 2^k a / A - 1 in Fractions, A = min_j sigma_tilde_j(a)."""
+    def h_all(values):
+        h = [Fraction(1)] + [Fraction(0)] * m
+        for x in values:
+            for j in range(m, 0, -1):
+                h[j] += x * h[j - 1]
+        return h
+
+    a = [Fraction(c) for c in coeffs]
+    e = h_all(a)
+    a_exact = min(e[j] / math.comb(len(a), j) for j in range(1, m + 1))
+    return h_all([2**k * x / a_exact - 1 for x in a])[1:]
 
 
 def ones_density(z):
@@ -130,6 +150,23 @@ class TestPointBarrier:
         if b > 1.0 / geometry.pseudoconvexity_constant(dom, m):
             half = np.linalg.eigvalsh(0.5 * b * hess - np.eye(dom.n))
             assert not core.gamma_m_contains(half, m).member
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cone_coefficient_is_the_least_exact_power(self, n):
+        # over every multiset of coefficients from CONE_GRID and every m:
+        # B = 2^k / A with H_1..H_m(2^k a / A - 1) >= 0 in exact rationals,
+        # and k - 1 failing; an order-m slack in doubles accepted B = 80 on
+        # (0.01, 0.01, 1000) at m = 3, with H_2 = -31,999.56
+        for coeffs in itertools.combinations_with_replacement(CONE_GRID, n):
+            dom = Domain.ellipsoid(coeffs)
+            for m in range(1, n + 1):
+                a_const = geometry.pseudoconvexity_constant(dom, m)
+                b = barrier.cone_coefficient(dom, m)
+                k = round(math.log2(b * a_const))
+                assert k >= 0 and b == 2.0**k / a_const
+                assert min(exact_cone_h(coeffs, m, k)) >= 0, (coeffs, m)
+                if k > 0:
+                    assert min(exact_cone_h(coeffs, m, k - 1)) < 0, (coeffs, m)
 
     @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
     def test_invalid_density_bound_rejected(self, f_sup):

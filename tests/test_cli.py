@@ -274,6 +274,15 @@ class TestBarrierCommand:
         assert first["K1"] == p.K1 == 1.0 and first["gamma1"] == p.gamma1
         assert first["K2"] == p.K2[0] and first["gamma2"] == p.floor + p.K2[0]
 
+    def test_cone_coefficient_is_exact(self, capsys):
+        # B = 80 gave B a - 1 = (-0.2, -0.2, 79999) with H_2 = -31,999.56,
+        # outside Gamma_3, accepted under the order-m cone slack of about 5.1e4
+        code, out = run_cli(capsys, [
+            "barrier", "--n", "3", "--m", "3", "--domain", "ellipsoid:0.01,0.01,1000",
+        ])
+        assert code == 0
+        assert json_part(out)["result"]["params_first"]["B"] == 160.0
+
     @pytest.mark.parametrize("name", ["bins", "grid"])
     def test_single_bin_or_grid_point_exits_2(self, capsys, name):
         code = cli.main([
@@ -467,12 +476,16 @@ def test_pseudoconvexity_outside_the_double_range_exits_2(capsys, tmp_path, doma
 
 
 @pytest.mark.parametrize("n, m, domain", [(3, 3, "ellipsoid:1e-200,1e-200,1e200"),
-                                          (2, 2, "ellipsoid:1e-200,1e200")])
+                                          (2, 2, "ellipsoid:1e-200,1e200"),
+                                          (3, 3, "ellipsoid:7.458340731200207e-155,"
+                                                 "1.3407807929942597e+154,1.3407807929942597e+154")])
 def test_cone_coefficient_outside_the_double_range_exits_2(capsys, tmp_path, n, m, domain):
     # B hess rho - I overflowed: the first warned and then read "eigenvalue
     # input contains non-finite entries"; the second warned and passed with
     # B hess rho - I = diag(-1, 1e200), outside Gamma_2, under an infinite
-    # cone slack
+    # cone slack; the third, a = (2^-512, 2^512, 2^512), was given a B with
+    # B a_1 - 1 < 0 by that slack, and its exact B = 2^1024 / A overflows
+    # only in B max(a), not at 2^1023 / A
     argv = ["barrier", "--n", str(n), "--m", str(m), "--domain", domain,
             "--output-dir", str(tmp_path)]
     with warnings.catch_warnings():
