@@ -10,7 +10,6 @@ exactly by a monotone-chain hull scan.
 from __future__ import annotations
 
 import io
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,13 +38,14 @@ class ModulusCurve:
         w = np.asarray(w, dtype=float)
         if t.ndim != 1 or t.shape != w.shape or t.size < 2:
             raise ArgumentError("curve needs matching 1-d knots with >= 2 points")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+        if not (np.isfinite(t).all() and np.isfinite(w).all()):
             raise ArgumentError("curve knots must be finite")
         if t[0] != 0.0 or w[0] != 0.0:
             raise ArgumentError("curve must start at (0, 0)")
-        if np.any(np.diff(t) <= 0):
+        if (t[1:] <= t[:-1]).any():
             raise ArgumentError("knot abscissae must be strictly increasing")
-        if np.any(np.diff(w) < 0) or np.any(w < 0):
+        # from w[0] = 0, nondecreasing values are nonnegative
+        if (w[1:] < w[:-1]).any():
             raise ArgumentError("curve values must be nonnegative and nondecreasing")
         self.t = t
         self.w = w
@@ -122,8 +122,11 @@ def estimate_modulus(
     enforce monotonicity.  All pairs are used up to ``pair_threshold``
     points; beyond that a seeded random subset of ``pair_budget`` pairs,
     drawn one ``FILTER_SLICE`` at a time (its i's, then its j's), so a
-    smaller budget's pairs are a prefix of a larger one's.  At 30,000
-    points the sampled path allocates about 5.1 MB in all.
+    smaller budget's pairs are a prefix of a larger one's.  A slice gathers
+    its values and first coordinates, and only the pairs that pass the
+    filter below on the first coordinate's squares, a lower bound of their
+    d2, gather the other coordinates.  At 30,000 points the sampled path
+    allocates about 4.5 MB in all.
 
     ``bins`` may be a count (linear bins) or an ascending array of positive
     bin right-edges, e.g. geometric edges when small separations matter.
@@ -201,7 +204,7 @@ def estimate_modulus(
         rng = np.random.default_rng(seed)
         # one slice of gathers, reused: fresh arrays of a few MB per slice
         # go back to the system and fault in again at every slice
-        buf = np.empty((4, FILTER_SLICE))
+        buf = np.empty((3, FILTER_SLICE))
         budget = int(pair_budget)
         for s in range(0, budget, FILTER_SLICE):
             size = min(FILTER_SLICE, budget - s)
@@ -209,31 +212,50 @@ def estimate_modulus(
             j = rng.integers(0, n - 1, size)  # then j = (i + 1 + j) % n
             j += i
             j += 1
-            j %= n
+            gaps, d2, other = buf[:, :size]
+            # i + 1 + j < 2n, and as unsigned j - n wraps past j exactly
+            # when j < n: the minimum is j % n without a division
+            u = j.view(np.uint64)
+            np.minimum(u, np.subtract(u, n, out=other.view(np.uint64)), out=u)
+            del u  # a view would keep the whole slice of j alive
             # the indices are in range, so mode="wrap" gathers straight
             # into out, where mode="raise" gathers into a copy first
-            gaps, d2, diff, other = buf[:, :size]
             vals.take(i, out=gaps, mode="wrap")
             gaps -= vals.take(j, out=other, mode="wrap")
             np.abs(gaps, out=gaps)
-            # _square_sum adds every later coordinate's squares into the
-            # first's: the first differences go to d2, the others to diff
-            outs = itertools.chain([d2], itertools.repeat(diff))
-            curve.add(gaps, _square_sum(
-                np.subtract(col.take(i, out=out, mode="wrap"),
-                            col.take(j, out=other, mode="wrap"), out=out)
-                for col, out in zip(cols, outs)))
+            d2 = _square_sum([np.subtract(cols[0].take(i, out=d2, mode="wrap"),
+                                          cols[0].take(j, out=other, mode="wrap"), out=d2)])
+            if cols.shape[0] > 1:
+                # fl(a + b) >= a for b >= 0, so the first coordinate's
+                # squares bound d2 from below, and the floor is nondecreasing
+                # in d2: only the pairs that pass on them gather the rest
+                idx = np.flatnonzero(curve.may_raise(gaps, d2))
+                k = idx.size
+                # their gaps and partial d2 move to the front of their rows
+                # (numpy gathers into an overlapping out through a copy);
+                # one index array at a time, so the heap holds at most four
+                # slice-sized arrays, as when every pair gathered everything
+                gaps = gaps.take(idx, out=gaps[:k], mode="wrap")
+                d2 = d2.take(idx, out=d2[:k], mode="wrap")
+                i = i.take(idx, mode="wrap")
+                j = j.take(idx, mode="wrap")
+                del idx
+                other = other[:k]
+                d2 = _square_sum((np.subtract(col.take(i, out=other, mode="wrap"),
+                                              col.take(j, mode="wrap"), out=other)
+                                  for col in cols[1:]), d2)
+            curve.add(gaps, d2)
 
     w = np.maximum.accumulate(curve.sup[:-1])
     t = np.concatenate(([0.0], edges))
     return ModulusCurve(t, np.concatenate(([0.0], w)))
 
 
-def _square_sum(diffs):
+def _square_sum(diffs, d2=None):
     """d2 of pairs whose differences ``diffs`` yields one coordinate at a
-    time: squared and summed in place, in coordinate order."""
+    time: squared and summed in place, in coordinate order, after the
+    partial sum ``d2`` of the coordinates before them if one is given."""
     with np.errstate(over="ignore", under="ignore"):
-        d2 = None
         for diff in diffs:
             np.square(diff, out=diff)
             d2 = diff if d2 is None else np.add(d2, diff, out=d2)
@@ -280,8 +302,7 @@ class _RunningCurve:
         # in place: one int64 and one float temporary per call
         cells = d2.view(np.int64) >> SHIFT
         cells -= self.first
-        np.clip(cells, 0, self.floor.size - 1, out=cells)
-        return gaps > self.floor.take(cells)
+        return gaps > self.floor.take(cells, mode="clip")
 
     def add(self, gaps, d2):
         """Bin the pairs that pass the filter at sqrt(d2); refresh the floor
@@ -344,9 +365,19 @@ def concave_majorant(curve: ModulusCurve) -> ModulusCurve:
     and w scaled by powers of two to a largest knot in [0.5, 1): the
     scaling is exact, and the cross products cannot overflow, nor underflow
     as the curve's scale shrinks.  The hull keeps the curve's own knots.
+
+    Until its first pop the scan tests consecutive knots only, so when no
+    consecutive triple's cross product, taken with the scan's own operands
+    on the scaled arrays, is positive, it pops nothing: copies of the knots
+    come back without it, as for a majorant hulled again.
     """
-    t = np.ldexp(curve.t, -np.frexp(curve.t[-1])[1]).tolist()
-    w = np.ldexp(curve.w, -np.frexp(curve.w[-1])[1]).tolist()
+    t = np.ldexp(curve.t, -np.frexp(curve.t[-1])[1])
+    w = np.ldexp(curve.w, -np.frexp(curve.w[-1])[1])
+    ta, tb, ti = t[:-2], t[1:-1], t[2:]
+    wa, wb, wi = w[:-2], w[1:-1], w[2:]
+    if not ((tb - ta) * (wi - wa) - (wb - wa) * (ti - ta) > 0.0).any():
+        return ModulusCurve(curve.t.copy(), curve.w.copy())
+    t, w = t.tolist(), w.tolist()
     hull = [0]
     for i in range(1, len(t)):
         while len(hull) >= 2:

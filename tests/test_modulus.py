@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -65,6 +66,28 @@ class TestModulusCurve:
             ModulusCurve([0.0, 1.0, 2.0], [0.0, np.nan, 1.0])
         with pytest.raises(ArgumentError):
             ModulusCurve([0.0, 1.0, np.inf], [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("t, w, message", [
+        ([[0.0, 1.0]], [[0.0, 1.0]], "matching 1-d knots"),  # not 1-d
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "matching 1-d knots"),  # shape mismatch
+        ([0.0], [0.0], "matching 1-d knots"),  # fewer than 2 knots
+        ([0.0, np.inf], [0.0, 1.0], "must be finite"),
+        ([0.0, 1.0], [0.0, np.nan], "must be finite"),
+        ([0.5, 1.0], [0.0, 1.0], "start at (0, 0)"),
+        ([0.0, 1.0], [0.25, 1.0], "start at (0, 0)"),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 1.0], [0.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 0.5], "nonnegative and nondecreasing"),
+        # below the start is decreasing, and so the one test catches it
+        ([0.0, 1.0], [0.0, -1.0], "nonnegative and nondecreasing"),
+    ])
+    def test_each_check_keeps_its_message(self, t, w, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)):
+            ModulusCurve(t, w)
+
+    def test_negative_zero_start_accepted(self):
+        c = ModulusCurve([-0.0, 1.0], [-0.0, 0.0])
+        assert np.signbit(c.t[0]) and np.signbit(c.w[0]) and c.w[1] == 0.0
 
     def test_interpolation(self):
         c = ModulusCurve([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
@@ -396,6 +419,68 @@ class TestSampledPairsAgainstReference:
             assert np.all(lower <= higher)
 
 
+class TestFirstCoordinateFilter:
+    """Sampled pairs meet the floor on their first coordinate's square
+    before their other coordinates are gathered; every curve is still the
+    one of binning every drawn pair."""
+
+    BUDGETS = TestSampledPairsAgainstReference.BUDGETS
+
+    @staticmethod
+    def cloud(dim, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.random((400, dim))
+        return pts, np.sin(3.0 * pts.sum(axis=1)) + 0.05 * rng.standard_normal(400)
+
+    def test_constant_first_coordinate(self):
+        # every first difference is 0, so the first stage keeps each pair
+        # whose gap beats the floor of the lowest cell
+        pts, vals = self.cloud(3, 60)
+        pts[:, 0] = 0.7
+        edges = np.linspace(0.0, modulus._diameter_estimate(pts), 41)[1:]
+        for budget in self.BUDGETS:
+            got, want = sampled_pair(pts, vals, edges, edges, budget)
+            assert np.array_equal(got, want)
+
+    def test_spread_in_the_first_coordinate_only(self):
+        # the later coordinates add exact zeros to every survivor's d2
+        pts, vals = self.cloud(3, 61)
+        pts[:, 1:] = 0.25
+        edges = np.linspace(0.0, 1.0, 41)[1:]
+        for budget in self.BUDGETS:
+            got, want = sampled_pair(pts, vals, edges, edges, budget)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_dimensions_at_every_budget(self, dim):
+        pts, vals = self.cloud(dim, 62 + dim)
+        diameter = modulus._diameter_estimate(pts)
+        geometric = np.geomspace(1e-3, diameter, 30)
+        for bins, edges in ((30, np.linspace(0.0, diameter, 31)[1:]), (geometric, geometric)):
+            for budget in self.BUDGETS:
+                got, want = sampled_pair(pts, vals, bins, edges, budget)
+                assert np.array_equal(got, want)
+
+    def test_first_slice_keeps_every_pair(self, monkeypatch):
+        # the floor is 0 until the first slice is binned, so every pair of
+        # it with a positive gap passes the first stage
+        # (the values are distinct, so is every gap)
+        passed = []
+        add = modulus._RunningCurve.add
+
+        def counted(curve, gaps, d2):
+            passed.append(gaps.size)
+            return add(curve, gaps, d2)
+
+        monkeypatch.setattr(modulus._RunningCurve, "add", counted)
+        pts, vals = self.cloud(3, 63)
+        assert np.unique(vals).size == vals.size
+        edges = np.linspace(0.0, modulus._diameter_estimate(pts), 41)[1:]
+        got, want = sampled_pair(pts, vals, edges, edges, modulus.FILTER_SLICE)
+        assert np.array_equal(got, want)
+        assert passed == [modulus.FILTER_SLICE]
+
+
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None, database=None)
 
 
@@ -490,6 +575,28 @@ class TestFilterPrunes:
             pts, vals, bins=200, seed=3, pair_threshold=100, pair_budget=2_000_000))
         assert pairs / 2_000_000 < 0.07  # measured 0.033
 
+    def test_sampled_first_stage(self, monkeypatch):
+        # pairs whose first coordinate's square already keeps them under
+        # the floor gather no other coordinate
+        passed = [0]
+        add = modulus._RunningCurve.add
+
+        def counted(curve, gaps, d2):
+            passed[0] += gaps.size
+            return add(curve, gaps, d2)
+
+        monkeypatch.setattr(modulus._RunningCurve, "add", counted)
+        pts, vals = half_holder_cloud(3000, 40)
+        modulus.estimate_modulus(pts, vals, bins=200, seed=3, pair_threshold=100,
+                                 pair_budget=2_000_000)
+        assert passed[0] / 2_000_000 < 0.3  # measured 0.20
+
+    def test_sampled_constant_values_bin_no_pair(self, binned):
+        # no gap can beat a floor of 0
+        pts, _ = half_holder_cloud(300, 42)
+        assert binned(lambda: modulus.estimate_modulus(
+            pts, np.full(300, 2.0), bins=50, pair_threshold=100, pair_budget=100_000)) == 0
+
     def test_exact_branch(self, binned):
         pts, vals = half_holder_cloud(2000, 41)
         pairs = binned(lambda: modulus.estimate_modulus(pts, vals, bins=200))
@@ -583,7 +690,7 @@ def test_sampled_path_keeps_one_slice_of_draws():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6  # measured 5.1 MB
+    assert peak <= 8e6  # measured 4.55 MB
 
 
 class TestConcaveMajorant:
@@ -648,6 +755,34 @@ class TestConcaveMajorant:
             maj = modulus.concave_majorant(c)
             assert np.array_equal(maj.t, hull_t) and np.array_equal(maj.w, hull_w)
 
+    def test_concave_curves_come_back_as_new_arrays(self):
+        # the powers and the collinear runs pop nothing and skip the scan;
+        # rounding puts a knot of every staircase below a chord
+        rng = np.random.default_rng(12)
+        curves = [power_curve(rng) for _ in range(80)]
+        curves += [concave_collinear_runs(rng) for _ in range(80)]
+        curves += [concave_staircase(rng) for _ in range(40)]
+        for c in curves:
+            hull_t, hull_w = numpy_scalar_majorant(c)
+            maj = modulus.concave_majorant(c)
+            assert np.array_equal(maj.t, hull_t) and np.array_equal(maj.w, hull_w)
+            assert not (np.shares_memory(maj.t, c.t) or np.shares_memory(maj.w, c.w))
+
+    @pytest.mark.parametrize("knot, ulps", [(1, 1), (4, 3), (7, 2)])
+    def test_knot_ulps_below_a_chord_is_dropped(self, knot, ulps):
+        # a line of dyadic knots with one knot nudged down: its cross product
+        # with its neighbours is a few ulps above 0, so the scan runs
+        t = np.arange(9.0)
+        w = 0.5 * t
+        for _ in range(ulps):
+            w[knot] = np.nextafter(w[knot], 0.0)
+        c = ModulusCurve(t, w)
+        maj = modulus.concave_majorant(c)
+        keep = np.arange(9) != knot
+        assert np.array_equal(maj.t, t[keep]) and np.array_equal(maj.w, w[keep])
+        hull_t, hull_w = numpy_scalar_majorant(c)
+        assert np.array_equal(maj.t, hull_t) and np.array_equal(maj.w, hull_w)
+
 
 def numpy_scalar_majorant(curve: ModulusCurve) -> tuple:
     """The monotone-chain hull scan over numpy scalars, as it ran before the
@@ -676,6 +811,22 @@ def collinear_runs_curve(rng) -> ModulusCurve:
     exactly collinear and a hull scan meets cross products of exactly 0."""
     runs = int(rng.integers(2, 12))
     slopes = np.repeat(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, 2.0], runs), rng.integers(1, 6, runs))
+    dt = rng.choice([0.25, 0.5, 1.0], slopes.size)
+    return ModulusCurve(np.concatenate(([0.0], np.cumsum(dt))), np.concatenate(([0.0], np.cumsum(slopes * dt))))
+
+
+def power_curve(rng) -> ModulusCurve:
+    """t^beta, beta in (0, 1], on sorted random knots of [0, 1]."""
+    t = np.concatenate(([0.0], np.sort(rng.random(int(rng.integers(2, 60))))))
+    return ModulusCurve(t, t ** (1.0 - rng.random()))
+
+
+def concave_collinear_runs(rng) -> ModulusCurve:
+    """Dyadic steps with dyadic slopes held over runs and never rising:
+    every cross product of the scan is exact and at most 0."""
+    runs = int(rng.integers(1, 8))
+    slopes = np.repeat(np.sort(rng.choice([0.0, 0.125, 0.25, 0.5, 1.0, 2.0], runs))[::-1],
+                       rng.integers(1, 6, runs))
     dt = rng.choice([0.25, 0.5, 1.0], slopes.size)
     return ModulusCurve(np.concatenate(([0.0], np.cumsum(dt))), np.concatenate(([0.0], np.cumsum(slopes * dt))))
 
