@@ -225,25 +225,24 @@ def estimate_modulus(
             np.abs(gaps, out=gaps)
             d2 = _square_sum([np.subtract(cols[0].take(i, out=d2, mode="wrap"),
                                           cols[0].take(j, out=other, mode="wrap"), out=d2)])
-            if cols.shape[0] > 1:
-                # fl(a + b) >= a for b >= 0, so the first coordinate's
-                # squares bound d2 from below, and the floor is nondecreasing
-                # in d2: only the pairs that pass on them gather the rest
-                idx = np.flatnonzero(curve.may_raise(gaps, d2))
-                k = idx.size
-                # their gaps and partial d2 move to the front of their rows
-                # (numpy gathers into an overlapping out through a copy);
-                # one index array at a time, so the heap holds at most four
-                # slice-sized arrays, as when every pair gathered everything
-                gaps = gaps.take(idx, out=gaps[:k], mode="wrap")
-                d2 = d2.take(idx, out=d2[:k], mode="wrap")
-                i = i.take(idx, mode="wrap")
-                j = j.take(idx, mode="wrap")
-                del idx
-                other = other[:k]
-                d2 = _square_sum((np.subtract(col.take(i, out=other, mode="wrap"),
-                                              col.take(j, mode="wrap"), out=other)
-                                  for col in cols[1:]), d2)
+            # fl(a + b) >= a for b >= 0, so the first coordinate's
+            # squares bound d2 from below, and the floor is nondecreasing
+            # in d2: only the pairs that pass on them gather the rest
+            idx = np.flatnonzero(curve.may_raise(gaps, d2))
+            k = idx.size
+            # their gaps and partial d2 move to the front of their rows
+            # (numpy gathers into an overlapping out through a copy);
+            # one index array at a time, so the heap holds at most four
+            # slice-sized arrays, as when every pair gathered everything
+            gaps = gaps.take(idx, out=gaps[:k], mode="wrap")
+            d2 = d2.take(idx, out=d2[:k], mode="wrap")
+            i = i.take(idx, mode="wrap")
+            j = j.take(idx, mode="wrap")
+            del idx
+            other = other[:k]
+            d2 = _square_sum((np.subtract(col.take(i, out=other, mode="wrap"),
+                                          col.take(j, mode="wrap"), out=other)
+                              for col in cols[1:]), d2)
             curve.add(gaps, d2)
 
     w = np.maximum.accumulate(curve.sup[:-1])
