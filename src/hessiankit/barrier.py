@@ -226,12 +226,14 @@ class BarrierParams:
 
 
 def cone_coefficient(domain: Domain, m: int) -> float:
-    """The double 2^k / A for the least k >= 0 with B hess(rho) - I in the cone.
+    """The least double >= 2^k / A for the least k >= 0 with B hess(rho) - I
+    in the cone.
 
     A is the pseudoconvexity constant.  With A = p / q as a rational, B a - 1
     is a positive multiple of 2^k q a - p, tested exactly: all of its H_1..H_m
-    are >= 0.  Every entry is >= 0 once B >= 1 / min(a); if B max(a) leaves
-    the double range first, DomainError says so.
+    are >= 0.  Rounding B up keeps it in the cone where 2^k / A is on its
+    edge.  Every entry is >= 0 once B >= 1 / min(a); if B max(a) leaves the
+    double range first, DomainError says so.
     """
     b = 1.0 / pseudoconvexity_constant(domain, m)
     a = domain.coeffs
@@ -242,7 +244,8 @@ def cone_coefficient(domain: Domain, m: int) -> float:
         v = [Fraction(x) * q - p for x in a]
         neg = sum(x < 0 for x in v)  # at most n - m in the closed Gamma_m
         if neg == 0 or neg <= domain.n - m and min(core._exact_symmetric(v, m)[0]) >= 0:
-            return b
+            b = float(Fraction(q, p))  # correctly rounded, so at most an ulp below
+            return b if Fraction(b) >= Fraction(q, p) else math.nextafter(b, math.inf)
         b, q = 2.0 * b, 2 * q  # doubling is exact: b is the double 2^k / A
     raise DomainError(f"B hess(rho) - I with B = {b!r} leaves the double range: B max(a) = "
                       f"{b * max(a)!r} must not exceed {sys.float_info.max!r}")

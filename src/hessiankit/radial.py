@@ -337,6 +337,7 @@ _UFLOW = np.finfo(float).tiny
 
 BISECTION_LIMIT = 400  # pieces per panel, QUADPACK's ``limit``
 BLOCK_INTERVALS = 128  # intervals whose 21 nodes are evaluated in one call
+MODULUS_BLOCK = 2**14  # knots x radii that radial_modulus interpolates at once
 
 
 def _qk21(f, a: np.ndarray, b: np.ndarray):
@@ -376,7 +377,9 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
     radii gets QUADPACK's 21-point Gauss-Kronrod rule, all panels in one
     batch; a panel whose error estimate exceeds ``max(tol / panels,
     1e-12 |value|)`` is bisected at its largest-error piece, all failing
-    panels at once, up to ``BISECTION_LIMIT`` pieces.  Raises
+    panels at once, up to ``BISECTION_LIMIT`` pieces.  The pieces live in
+    (panels, capacity) arrays whose capacity doubles when full: a round
+    writes one column, and only a doubling or a settled panel copies.  Raises
     :class:`QuadratureError` when the summed panel error estimates exceed
     ``tol`` and :class:`DomainError` when the inner integral diverges or,
     before any quadrature, when the grid holds r = 0 and a log density's
@@ -413,23 +416,27 @@ def radial_solve(problem: RadialProblem, grid=512, tol: float = DEFAULT_TOL) -> 
     val, err = _qk21(integrand, r[:-1], r[1:])
     failing = np.flatnonzero(~settled(val, err))
     panels_bisected = failing.size
-    # pieces of the failing panels, one row per panel; every row gains one
-    # piece per round, so all rows have the same length
-    lo, hi = r[failing, None], r[failing + 1, None]
-    pval, perr = val[failing, None], err[failing, None]
-    while failing.size and pval.shape[1] < BISECTION_LIMIT:
-        rows = np.arange(failing.size)
-        worst = np.argmax(perr, axis=1)
-        a, b = lo[rows, worst], hi[rows, worst]
+    # lo, hi, value and error of the pieces of the failing panels, one row
+    # per panel: round w fills column w, and the capacity doubles when full
+    pieces = np.stack((r[failing], r[failing + 1], val[failing], err[failing]))[..., None]
+    rows, w = np.arange(failing.size), 1
+    while failing.size and w < BISECTION_LIMIT:
+        if w == pieces.shape[2]:
+            grown = np.empty((4, failing.size, min(2 * w, BISECTION_LIMIT)))
+            grown[..., :w] = pieces
+            pieces = grown
+            del grown
+        worst = np.argmax(pieces[3, :, :w], axis=1)
+        a, b = pieces[:2, rows, worst]
         mid = 0.5 * (a + b)
         v, e = _qk21(integrand, np.concatenate((a, mid)), np.concatenate((mid, b)))
-        hi[rows, worst] = mid
-        pval[rows, worst], perr[rows, worst] = v[: rows.size], e[: rows.size]
-        lo, hi = np.column_stack((lo, mid)), np.column_stack((hi, b))
-        pval, perr = np.column_stack((pval, v[rows.size :])), np.column_stack((perr, e[rows.size :]))
-        val[failing], err[failing] = pval.sum(axis=1), perr.sum(axis=1)
+        pieces[1:, rows, worst] = mid, v[: rows.size], e[: rows.size]
+        pieces[:, :, w] = mid, b, v[rows.size :], e[rows.size :]
+        w += 1
+        val[failing], err[failing] = pieces[2:, :, :w].sum(axis=2)
         keep = ~settled(val[failing], err[failing])
-        failing, lo, hi, pval, perr = failing[keep], lo[keep], hi[keep], pval[keep], perr[keep]
+        if not keep.all():
+            failing, pieces, rows = failing[keep], pieces[:, keep], rows[: keep.sum()]
 
     u = np.zeros(r.size)
     u[:-1] = -problem.B * np.cumsum(val[::-1])[::-1]  # running sums from r = 1 inward
@@ -522,13 +529,21 @@ def radial_modulus(solution: RadialSolution, t_knots) -> ModulusCurve:
 
     The profile is nondecreasing, so omega(t) = max_r [U(min(r + t, 1)) -
     U(r)]; the maximum is taken over the grid radii with the shifted value
-    read off the piecewise-linear interpolant.
+    read off the piecewise-linear interpolant.  Knots are interpolated a
+    block at a time, ``MODULUS_BLOCK`` (knot, radius) pairs or one knot,
+    whichever is more, so the working memory (two such blocks, 128 KiB
+    each) does not grow with the knot count.
     """
     t_knots = np.asarray(t_knots, dtype=float)
-    r = solution.r
-    u = solution.u
-    shifted = np.interp(np.minimum(r + t_knots[:, None], 1.0), r, u)  # (knots, grid)
-    w = np.maximum(np.maximum.accumulate((shifted - u).max(axis=1)), 0.0)
+    r, u = solution.r, solution.u
+    rows = max(1, MODULUS_BLOCK // r.size)
+    w = np.empty(t_knots.size)
+    for s in range(0, t_knots.size, rows):
+        # past r = 1 np.interp returns U(1), as at min(r + t, 1)
+        shifted = np.interp(r + t_knots[s : s + rows, None], r, u)  # (knots, grid)
+        shifted -= u
+        w[s : s + rows] = shifted.max(axis=1)
+    w = np.maximum(np.maximum.accumulate(w), 0.0)
     return ModulusCurve(
         np.concatenate(([0.0], t_knots)), np.concatenate(([0.0], w))
     )

@@ -17,19 +17,29 @@ BALL = Domain.ball(2, 1.0)
 CONE_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 1e4)
 
 
-def exact_cone_h(coeffs, m, k):
-    """H_1..H_m of 2^k a / A - 1 in Fractions, A = min_j sigma_tilde_j(a)."""
-    def h_all(values):
-        h = [Fraction(1)] + [Fraction(0)] * m
-        for x in values:
-            for j in range(m, 0, -1):
-                h[j] += x * h[j - 1]
-        return h
+def exact_h(values, m):
+    """H_1..H_m of Fractions."""
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for x in values:
+        for j in range(m, 0, -1):
+            h[j] += x * h[j - 1]
+    return h[1:]
 
-    a = [Fraction(c) for c in coeffs]
-    e = h_all(a)
-    a_exact = min(e[j] / math.comb(len(a), j) for j in range(1, m + 1))
-    return h_all([2**k * x / a_exact - 1 for x in a])[1:]
+
+def exact_constant(coeffs, m):
+    """A = min_j sigma_tilde_j(a) as a Fraction."""
+    e = exact_h([Fraction(c) for c in coeffs], m)
+    return min(e[j - 1] / math.comb(len(coeffs), j) for j in range(1, m + 1))
+
+
+def exact_cone_h(coeffs, m, b):
+    """H_1..H_m of b a - 1 in Fractions, for a rational b."""
+    return exact_h([b * Fraction(c) - 1 for c in coeffs], m)
+
+
+def least_double_at_or_above(x):
+    b = float(x)  # nearest
+    return b if Fraction(b) >= x else math.nextafter(b, math.inf)
 
 
 def ones_density(z):
@@ -135,8 +145,10 @@ class TestPointBarrier:
 
     @pytest.mark.parametrize("coeffs, m, expected", [
         ((1.0, 4.0), 2, 1.6),
-        ((0.3, 0.3, 0.3), 3, 37.03703703703704),
-        ((0.7, 1.3, 2.9), 2, 1.2244897959183672),
+        # the least doubles at or above 2^k / A; the doubles 2^k / fl(A),
+        # 37.03703703703704 and 1.2244897959183672, lie below it
+        ((0.3, 0.3, 0.3), 3, 37.037037037037045),
+        ((0.7, 1.3, 2.9), 2, 1.2244897959183674),
     ])
     def test_cone_coefficient_matches_the_eigensolver(self, coeffs, m, expected):
         # B a - 1 read off the diagonal picks the B that the eigenvalues of
@@ -147,26 +159,43 @@ class TestPointBarrier:
         assert b == expected
         hess = np.diag(dom.hess_diag())
         assert core.gamma_m_contains(np.linalg.eigvalsh(b * hess - np.eye(dom.n)), m).member
-        if b > 1.0 / geometry.pseudoconvexity_constant(dom, m):
+        if b > 1.5 / geometry.pseudoconvexity_constant(dom, m):  # k > 0
             half = np.linalg.eigvalsh(0.5 * b * hess - np.eye(dom.n))
             assert not core.gamma_m_contains(half, m).member
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cone_coefficient_is_the_least_exact_power(self, n):
         # over every multiset of coefficients from CONE_GRID and every m:
-        # B = 2^k / A with H_1..H_m(2^k a / A - 1) >= 0 in exact rationals,
-        # and k - 1 failing; an order-m slack in doubles accepted B = 80 on
-        # (0.01, 0.01, 1000) at m = 3, with H_2 = -31,999.56
+        # B is the least double >= 2^k / A, with H_1..H_m(2^k a / A - 1) >= 0
+        # in exact rationals, and k - 1 failing; an order-m slack in doubles
+        # accepted B = 80 on (0.01, 0.01, 1000) at m = 3, with H_2 = -31,999.56.
+        # The double nearest 2^k / A lies below it on 563 of the 1,155 pairs.
         for coeffs in itertools.combinations_with_replacement(CONE_GRID, n):
             dom = Domain.ellipsoid(coeffs)
             for m in range(1, n + 1):
-                a_const = geometry.pseudoconvexity_constant(dom, m)
+                a_exact = exact_constant(coeffs, m)
                 b = barrier.cone_coefficient(dom, m)
-                k = round(math.log2(b * a_const))
-                assert k >= 0 and b == 2.0**k / a_const
-                assert min(exact_cone_h(coeffs, m, k)) >= 0, (coeffs, m)
+                k = round(math.log2(b * a_exact))
+                assert k >= 0 and b == least_double_at_or_above(2**k / a_exact)
+                assert min(exact_cone_h(coeffs, m, 2**k / a_exact)) >= 0, (coeffs, m)
                 if k > 0:
-                    assert min(exact_cone_h(coeffs, m, k - 1)) < 0, (coeffs, m)
+                    assert min(exact_cone_h(coeffs, m, 2 ** (k - 1) / a_exact)) < 0, (coeffs, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_cone_coefficient_keeps_the_double_in_the_cone(self, n):
+        # the B actually used, as an exact rational, has every H_j(B a - 1) >= 0,
+        # and the double below it lies under 2^k / A.  Where 2^k / A puts
+        # B a - 1 on the edge of Gamma_m, as 1/A does for every m = 1
+        # domain, a B rounded down falls outside: the double 2^k / fl(A) did
+        # on 168 of these 1,155 pairs, min H_j down to -3.8e-15
+        for coeffs in itertools.combinations_with_replacement(CONE_GRID, n):
+            dom = Domain.ellipsoid(coeffs)
+            for m in range(1, n + 1):
+                a_exact = exact_constant(coeffs, m)
+                b = barrier.cone_coefficient(dom, m)
+                k = round(math.log2(b * a_exact))
+                assert min(exact_cone_h(coeffs, m, Fraction(b))) >= 0, (coeffs, m)
+                assert Fraction(math.nextafter(b, 0.0)) < 2**k / a_exact, (coeffs, m)
 
     @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
     def test_invalid_density_bound_rejected(self, f_sup):

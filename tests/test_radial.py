@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate  # test-only oracle: the package itself does not use scipy
 
 from hessiankit import radial
-from hessiankit.errors import ArgumentError, DomainError
+from hessiankit.errors import ArgumentError, DomainError, QuadratureError
 from hessiankit.radial import (
     ConstDensity,
     LogDensity,
@@ -44,15 +44,27 @@ def reference_table_integral(table, t, n):
 
 
 def reference_log_inner_integral(density, t, n):
-    """The nested scalar quad LogDensity.inner_integral replaced (n > m)."""
+    """The nested scalar quad LogDensity.inner_integral replaced (n > m),
+    with a relative tolerance only: an absolute floor swamps the inner
+    integrals of order t^(2k) near the origin."""
     if t == 0.0:
         return 0.0
     k = n - density.m
     x = 1.0 - math.log(t)
     return integrate.quad(
         lambda s: math.exp(2 * k * (1.0 - s)) * s ** (-density.gamma),
-        x, np.inf, epsabs=1e-14, epsrel=1e-12, limit=200,
+        x, np.inf, epsabs=0.0, epsrel=1e-12, limit=200,
     )[0]
+
+
+def incomplete_gamma_log_inner_integral(density, t, n, dps=30):
+    """int_x^inf e^(2k(1-s)) s^(-gamma) ds = e^(2k) (2k)^(gamma-1) Gamma(1-gamma, 2kx)
+    with x = 1 - log t, from mpmath at ``dps`` digits."""
+    k = n - density.m
+    with mpmath.workdps(dps):
+        x = 1 - mpmath.log(mpmath.mpf(float(t)))
+        gamma = density.gamma
+        return mpmath.e ** (2 * k) * mpmath.mpf(2 * k) ** (gamma - 1) * mpmath.gammainc(1 - gamma, 2 * k * x)
 
 
 def reference_radial_solve(problem, grid, tol):
@@ -84,6 +96,58 @@ def reference_radial_solve(problem, grid, tol):
         acc += val
         u[i] = -problem.B * acc
     return r, u
+
+
+def reference_bisection_solve(problem, grid, tol):
+    """radial_solve with the bisection that regrew its piece arrays by
+    column_stack every round: (solution, round in which each bisected panel
+    settled).  Raises QuadratureError as radial_solve does."""
+    n, m = problem.n, problem.m
+    r = np.unique(np.asarray(grid, dtype=float))
+    if r[-1] < 1.0:
+        r = np.append(r, 1.0)
+    density = problem.density
+
+    def integrand(t):
+        inner = np.maximum(density.inner_integral(t, n), 0.0)
+        return t ** (1.0 - 2.0 * n / m) * inner ** (1.0 / m)
+
+    panel_tol = max(tol / max(r.size - 1, 1), 1e-15)
+
+    def settled(value, error):
+        return (error <= np.maximum(panel_tol, 1e-12 * np.abs(value))) | ~np.isfinite(value)
+
+    val, err = radial._qk21(integrand, r[:-1], r[1:])
+    failing = np.flatnonzero(~settled(val, err))
+    panels_bisected = failing.size
+    lo, hi = r[failing, None], r[failing + 1, None]
+    pval, perr = val[failing, None], err[failing, None]
+    settled_in = {}
+    while failing.size and pval.shape[1] < radial.BISECTION_LIMIT:
+        rows = np.arange(failing.size)
+        worst = np.argmax(perr, axis=1)
+        a, b = lo[rows, worst], hi[rows, worst]
+        mid = 0.5 * (a + b)
+        v, e = radial._qk21(integrand, np.concatenate((a, mid)), np.concatenate((mid, b)))
+        hi[rows, worst] = mid
+        pval[rows, worst], perr[rows, worst] = v[: rows.size], e[: rows.size]
+        lo, hi = np.column_stack((lo, mid)), np.column_stack((hi, b))
+        pval, perr = np.column_stack((pval, v[rows.size :])), np.column_stack((perr, e[rows.size :]))
+        val[failing], err[failing] = pval.sum(axis=1), perr.sum(axis=1)
+        keep = ~settled(val[failing], err[failing])
+        settled_in.update(dict.fromkeys(failing[~keep].tolist(), pval.shape[1] - 1))
+        failing, lo, hi, pval, perr = failing[keep], lo[keep], hi[keep], pval[keep], perr[keep]
+
+    u = np.zeros(r.size)
+    u[:-1] = -problem.B * np.cumsum(val[::-1])[::-1]
+    total_err = float(np.sum(err))
+    if total_err * problem.B > tol * max(1.0, float(np.max(np.abs(u)))):
+        raise QuadratureError("tol not met", achieved=total_err * problem.B)
+    solution = radial.RadialSolution(
+        r=r, u=u, B_used=problem.B, achieved_error=total_err * problem.B,
+        panels_bisected=panels_bisected, worst_panel_error=float(err.max(initial=0.0)) * problem.B,
+    )
+    return solution, settled_in
 
 
 def reference_fit_growth_exponent(k_values):
@@ -231,15 +295,25 @@ class TestAgainstScalarQuadLoop:
         assert np.all(np.abs(sol.u - u) <= 1e-12 * np.abs(u))
 
     @pytest.mark.parametrize("n, m, gamma, r_min", [(3, 2, 1.0, 1e-3), (3, 1, 0.8, 1e-3), (4, 2, 2.5, 1e-8)])
-    def test_log_profile_to_1e_6(self, n, m, gamma, r_min):
-        # the reference's nested quad is the weaker side here: its absolute
-        # floor 1e-14 swamps the tiny inner integrals near the origin
+    def test_log_profile_to_1e_12(self, n, m, gamma, r_min):
+        # the two sides agree to 3e-14 relative; with the absolute floor
+        # 1e-14 the nested quad was off by up to 9e-10 here
         problem = RadialProblem(n, m, LogDensity(gamma, m))
         grid = np.geomspace(r_min, 1.0, 300)
         sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
         _, u = reference_radial_solve(problem, grid, 1e-9)
         assert sol.u[-1] == 0.0
-        assert np.all(np.abs(sol.u - u) <= 1e-6 * np.abs(u))
+        assert np.all(np.abs(sol.u - u) <= 1e-12 * np.abs(u))
+
+    @pytest.mark.parametrize("n, m, gamma", [(3, 2, 1.0), (3, 1, 0.8), (4, 2, 2.5), (2, 1, 0.6)])
+    def test_log_reference_against_incomplete_gamma(self, n, m, gamma):
+        # the nested quad of the reference solve, checked against the closed
+        # form; mpmath is too slow (up to 1 ms a call at non-integer gamma)
+        # to stand in for it at the reference's 6,279 nodes per profile
+        density = LogDensity(gamma, m)
+        for t in np.geomspace(1e-12, 1.0, 25):
+            exact = incomplete_gamma_log_inner_integral(density, t, n)
+            assert abs(reference_log_inner_integral(density, float(t), n) - exact) <= 1e-13 * exact
 
     def test_only_failing_panels_are_bisected(self):
         problem = RadialProblem(2, 2, PowerDensity(3.0))
@@ -262,6 +336,83 @@ class TestAgainstScalarQuadLoop:
             tracemalloc.stop()
         assert sol.u.size == grid.size and sol.u[-1] == 0.0
         assert peak <= 16e6
+
+
+HOLDER_GRID = np.concatenate(([0.0], np.geomspace(1e-7, 1.0, 3000)))
+
+
+class KinkedIntegrand:
+    """Not a density: the inner integral t^(2n) (1 + |cos(pi K t + 1)|) has
+    a kink off the centre of every panel of linspace(0, 1, K + 1)."""
+
+    kind = "kinked"
+
+    def __init__(self, k):
+        self.k = k
+
+    def inner_integral(self, t, n):
+        t = np.asarray(t, dtype=float)
+        return t ** (2 * n) * (1.0 + np.abs(np.cos(np.pi * self.k * t + 1.0)))
+
+
+def assert_same_solution(sol, ref):
+    assert np.array_equal(sol.r, ref.r) and np.array_equal(sol.u, ref.u)
+    assert sol.B_used == ref.B_used and sol.achieved_error == ref.achieved_error
+    assert sol.panels_bisected == ref.panels_bisected
+    assert sol.worst_panel_error == ref.worst_panel_error
+
+
+class TestBisectionMatchesColumnStackLoop:
+    @pytest.mark.parametrize("n, m, density, grid, tol", [
+        (2, 2, PowerDensity(3.0), SINGULAR_GRID, 1e-10),
+        (3, 2, PowerDensity(3.0), SINGULAR_GRID, 1e-10),
+        (2, 1, PowerDensity(1.5), HOLDER_GRID, 1e-10),
+        (3, 3, PowerDensity(4.5), HOLDER_GRID, 1e-10),
+        (2, 2, _kinked_table(), np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 50))), 1e-10),
+    ])
+    def test_every_field_is_equal(self, n, m, density, grid, tol):
+        problem = RadialProblem(n, m, density)
+        ref, settled_in = reference_bisection_solve(problem, grid, tol)
+        assert ref.panels_bisected == len(settled_in) > 0
+        assert_same_solution(radial.radial_solve(problem, grid=grid, tol=tol), ref)
+
+    def test_panels_settling_in_different_rounds(self):
+        # the three outer panels settle in round 2; the origin panel runs on
+        # alone to round 74, through five more doublings of the capacity
+        problem = RadialProblem(2, 2, PowerDensity(3.0))
+        grid = np.array([0.0, 1e-3, 0.01, 0.1])
+        ref, settled_in = reference_bisection_solve(problem, grid, 1e-12)
+        rounds = sorted(set(settled_in.values()))
+        assert len(settled_in) == 4 and len(rounds) == 2 and rounds[-1] > 64
+        assert_same_solution(radial.radial_solve(problem, grid=grid, tol=1e-12), ref)
+
+    def test_bisection_limit_error(self):
+        # the grid of test_unmet_tolerance_reports_achieved_error
+        problem = RadialProblem(2, 2, PowerDensity(3.99), convention="form")
+        grid = np.concatenate(([0.0], np.geomspace(1e-10, 1.0, 50)))
+        with pytest.raises(QuadratureError) as ref_err:
+            reference_bisection_solve(problem, grid, 1e-14)
+        with pytest.raises(QuadratureError) as err:
+            radial.radial_solve(problem, grid=grid, tol=1e-14)
+        assert err.value.achieved == ref_err.value.achieved
+
+    def test_piece_storage_within_twice_the_regrown_arrays(self):
+        # 1,000 failing panels settle in rounds 13-18, so the pieces outweigh
+        # the qk21 blocks; the capacity is at most twice the filled width
+        problem = RadialProblem(2, 2, KinkedIntegrand(1000))
+        grid = np.linspace(0.0, 1.0, 1001)
+        ref, settled_in = reference_bisection_solve(problem, grid, 1e-12)
+        assert ref.panels_bisected == 1000 and min(settled_in.values()) >= 10
+        assert_same_solution(radial.radial_solve(problem, grid=grid, tol=1e-12), ref)
+        peaks = []
+        for solve in (reference_bisection_solve, radial.radial_solve):
+            tracemalloc.start()
+            try:
+                solve(problem, grid, 1e-12)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2.0 * peaks[0]
 
 
 class TestTableDensity:
@@ -373,12 +524,34 @@ class TestHolderExponent:
     @pytest.mark.parametrize("density", [ConstDensity(1.0), PowerDensity(1.5)])
     def test_radial_modulus_matches_knot_loop(self, density):
         problem = RadialProblem(3, 2, density)
-        grid = np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 400)))
-        sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
-        for t_knots in (np.geomspace(1e-5, 0.3, 90), np.array([0.5, 1.0, 1.5])):
-            curve = radial.radial_modulus(sol, t_knots)
-            assert np.array_equal(curve.t[1:], t_knots)
-            assert np.array_equal(curve.w, reference_radial_modulus(sol, t_knots))
+        for grid in (
+            np.array([0.5, 1.0]),
+            np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 400))),
+            np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 3000))),
+        ):
+            sol = radial.radial_solve(problem, grid=grid, tol=1e-9)
+            assert np.array_equal(sol.r, grid)
+            block = radial.MODULUS_BLOCK // grid.size  # knots per np.interp block
+            knot_sets = [np.geomspace(1e-5, 0.3, count) for count in (1, block - 1, block + 1, 90)]
+            # the last set is past the grid: r + t > 1 at every radius
+            knot_sets += [np.array([0.5, 1.0, 1.5]), np.array([1.0 + 1e-9, 1.5, 4.0])]
+            for t_knots in knot_sets:
+                curve = radial.radial_modulus(sol, t_knots)
+                assert np.array_equal(curve.t[1:], t_knots)
+                assert np.array_equal(curve.w, reference_radial_modulus(sol, t_knots))
+
+    def test_radial_modulus_memory_is_blocked(self):
+        # a single (knots, radii) interpolation peaks at 4.4 MB here
+        problem = RadialProblem(2, 2, PowerDensity(1.0))
+        sol = radial.radial_solve(problem, grid=HOLDER_GRID, tol=1e-10)
+        t_knots = np.geomspace(1e-5, 0.3, 90)
+        tracemalloc.start()
+        try:
+            radial.radial_modulus(sol, t_knots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sol.r.size == 3001 and peak <= 1e6
 
 
 class TestLogDensityInternals:
@@ -397,15 +570,12 @@ class TestLogDensityInternals:
 
     @pytest.mark.parametrize("n, m, gamma", [(3, 2, 1.5), (3, 1, 0.8), (4, 2, 2.5), (2, 1, 0.6), (6, 1, 0.3)])
     def test_inner_integral_against_incomplete_gamma(self, n, m, gamma):
-        # int_x^inf e^(2k(1-s)) s^(-gamma) ds = e^(2k) (2k)^(gamma-1) Gamma(1-gamma, 2kx)
-        k = n - m
         ts = np.concatenate((np.geomspace(1e-12, 1.0, 60), [0.37, 0.999]))
-        mine = LogDensity(gamma, m).inner_integral(ts, n)
-        with mpmath.workdps(40):
-            for t, value in zip(ts, mine):
-                x = 1 - mpmath.log(mpmath.mpf(float(t)))
-                exact = mpmath.e ** (2 * k) * mpmath.mpf(2 * k) ** (gamma - 1) * mpmath.gammainc(1 - gamma, 2 * k * x)
-                assert abs(value - exact) <= 1e-12 * exact
+        density = LogDensity(gamma, m)
+        mine = density.inner_integral(ts, n)
+        for t, value in zip(ts, mine):
+            exact = incomplete_gamma_log_inner_integral(density, t, n, dps=40)
+            assert abs(value - exact) <= 1e-12 * exact
 
     def test_profile_validated_by_hessian_residual(self):
         # independent check of both inner-integral routes (closed form for
