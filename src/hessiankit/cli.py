@@ -74,8 +74,10 @@ def _parse_lambda(text: str) -> np.ndarray:
 
 def cmd_cone(args) -> int:
     lam = _parse_lambda(args.lam)
-    rep = core.gamma_m_contains(lam, args.m, tol=args.tol)
-    effective = args.tol if args.tol is not None else core.cone_tolerance(lam, args.m)
+    # huge entries overflow the slack's power; the report refuses the inf
+    with np.errstate(over="ignore"):
+        rep = core.gamma_m_contains(lam, args.m, tol=args.tol)
+        effective = args.tol if args.tol is not None else core.cone_tolerance(lam, args.m)
     result = {
         "lambda": lam.tolist(),
         "m": args.m,

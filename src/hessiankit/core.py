@@ -25,6 +25,11 @@ Stacks: ``elementary_symmetric_all`` and ``cone_tolerance`` take (..., n)
 eigenvalues, ``sigma_tilde`` (..., n, n) forms, ``polarized_form`` and
 ``garding_check`` (..., m, n, n) m-tuples, each element with the bits of a
 single call (which returns floats); samplers return (count, n, n) arrays.
+
+A single eigenvalue vector runs the H_k recurrence on Python floats, with
+the bits of a stack row.  That path raises no numpy floating-point warnings
+and no ``np.errstate`` errors, so a caller that needs those flags passes a
+(1, n) stack, as ``geometry.pseudoconvexity_constant`` does.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ def _as_vector(values, stack: bool = False) -> np.ndarray:
     lam = np.asarray(values, dtype=float)
     if lam.ndim == 0 or lam.shape[-1] == 0 or (lam.ndim > 1 and not stack):
         raise ArgumentError("eigenvalue input must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise ArgumentError("eigenvalue input contains non-finite entries")
     return lam
 
@@ -66,6 +71,17 @@ def _symmetric_all(lam: np.ndarray, m: int) -> np.ndarray:
     """elementary_symmetric_all on checked eigenvalues."""
     if not 0 <= m <= lam.shape[-1]:
         raise ArgumentError(f"order m={m} out of range for n={lam.shape[-1]}")
+    if lam.ndim == 1:
+        # the same steps on Python floats: c_k for k from the top down
+        # reads the c_{k-1} of the previous eigenvalue, as the array update
+        # does; the top stays capped, so c_k past it is never inf * 0.0
+        c = [1.0] + [0.0] * m
+        top = 0
+        for x in lam.tolist():
+            top = min(top + 1, m)
+            for k in range(top, 0, -1):
+                c[k] += x * c[k - 1]
+        return np.array(c)
     # the order axis leads, so each step is the 1-d update over the stack
     coeffs = np.zeros((m + 1,) + lam.T.shape[1:])
     coeffs[0] = 1.0
@@ -102,14 +118,24 @@ def elementary_symmetric_enumerate(values, k: int) -> float:
         raise ArgumentError("enumeration oracle limited to n <= 12")
     if not 0 <= k <= n:
         raise ArgumentError(f"order k={k} out of range for n={n}")
-    return float(sum(math.prod(c) for c in itertools.combinations(lam, k)))
+    # left to right from 0.0: sum() of Python floats compensates from 3.12 on
+    total = 0.0
+    for c in itertools.combinations(lam.tolist(), k):
+        total += math.prod(c)
+    return total
 
 
 def cone_tolerance(values, m: int):
     """Scale-aware slack for cone membership: 1e-10 * (1 + max|lambda|^m)."""
     lam = _as_vector(values, stack=True)
+    _check_cone_order(lam, m)
     slack = _cone_slack(lam, m)
     return float(slack) if lam.ndim == 1 else slack
+
+
+def _check_cone_order(lam: np.ndarray, m: int) -> None:
+    if not 1 <= m <= lam.shape[-1]:
+        raise ArgumentError(f"cone order m={m} out of range for n={lam.shape[-1]}")
 
 
 def _cone_slack(lam: np.ndarray, m: int):
@@ -136,10 +162,9 @@ def gamma_m_contains(values, m: int, tol: float | None = None) -> ConeReport:
 
 def _cone_report(lam: np.ndarray, m: int, tol: float | None = None) -> ConeReport:
     """gamma_m_contains on one checked eigenvalue vector."""
-    if not 1 <= m <= lam.size:
-        raise ArgumentError(f"cone order m={m} out of range for n={lam.size}")
+    _check_cone_order(lam, m)
     h = _symmetric_all(lam, m)[1:]
-    margin = float(np.min(h))
+    margin = float(h.min())
     if tol is None:
         tol = _cone_slack(lam, m)
     return ConeReport(h_values=h, member=bool(margin >= -tol), margin=margin)
@@ -158,11 +183,9 @@ def maclaurin_check(values, m: int) -> np.ndarray:
         raise DomainError(
             f"Maclaurin chain is only asserted on the cone; margin={report.margin}"
         )
-    means = np.empty(m)
-    for p, h in enumerate(report.h_values, 1):
-        ratio = max(h / math.comb(n, p), 0.0)  # clip round-off below 0
-        means[p - 1] = ratio ** (1.0 / p)
-    return means
+    # clip round-off below 0
+    h = report.h_values.tolist()
+    return np.array([max(x / math.comb(n, p), 0.0) ** (1.0 / p) for p, x in enumerate(h, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -215,11 +238,12 @@ def _as_tuples(forms) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _subsets(m: int):
-    """Nonempty subsets of range(m) as 0/1 rows, by size, then in
-    ``itertools.combinations`` order, and their signs (-1)^(m-|S|)."""
-    rows = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1
-    rows = rows[np.lexsort(np.vstack([-rows[:, ::-1].T, rows.sum(axis=1)]))]
-    return rows.astype(bool), np.where((m - rows.sum(axis=1)) % 2, -1.0, 1.0)
+    """Nonempty subsets S of range(m), by size, then in
+    ``itertools.combinations`` order: each as its bit mask sum_{i in S} 2^i
+    less one, and their signs (-1)^(m-|S|)."""
+    rows = (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1  # masks 1, 2, ...
+    order = np.lexsort(np.vstack([-rows[:, ::-1].T, rows.sum(axis=1)]))
+    return order, np.where((m - rows[order].sum(axis=1)) % 2, -1.0, 1.0)
 
 
 def _subset_spectra(tuples: np.ndarray):
@@ -227,11 +251,13 @@ def _subset_spectra(tuples: np.ndarray):
     ``_subsets`` order (the first m rows are the single forms), and their
     polarized values: one ``eigvalsh`` call for the whole stack."""
     m, n = tuples.shape[-3], tuples.shape[-1]
-    incidence, signs = _subsets(m)
-    sums = np.zeros(tuples.shape[:-3] + (signs.size, n, n), dtype=complex)
+    order, signs = _subsets(m)
+    # row b holds the sum over the bits of b: rows 2^i.. are rows ..2^i
+    # plus form i, so every sum adds its forms in index order from 0
+    sums = np.zeros(tuples.shape[:-3] + (2**m, n, n), dtype=complex)
     for i in range(m):
-        sums[..., incidence[:, i], :, :] += tuples[..., i : i + 1, :, :]
-    lam = np.linalg.eigvalsh(sums)
+        sums[..., 2**i : 2 ** (i + 1), :, :] = sums[..., : 2**i, :, :] + tuples[..., i : i + 1, :, :]
+    lam = np.linalg.eigvalsh(sums[..., 1:, :, :])[..., order, :]
     if not np.isfinite(lam).all():
         raise ArgumentError("a subset sum overflows: its eigenvalues are not finite")
     h = _symmetric_all(lam, m)

@@ -116,7 +116,8 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     low, high = sys.float_info.min, sys.float_info.max
     try:
         with np.errstate(over="raise", under="raise"):
-            h = elementary_symmetric_all(np.sort(domain.hess_diag()), m)
+            # a (1, n) stack: only the array recurrence raises these flags
+            h = elementary_symmetric_all(np.sort(domain.hess_diag())[None], m)[0]
             best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
         if best >= low:
             return float(best)

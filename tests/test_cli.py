@@ -106,11 +106,14 @@ class TestCone:
         code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1", "--tol", "nan"])
         assert code == 2 and out == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_result_exits_2(self, capsys):
-        # H_2 of (1e308, 1e308) overflows; the report would not be valid JSON
-        code, out = run_cli(capsys, ["cone", "--lambda", "1e308,1e308", "--m", "2"])
-        assert code == 2 and out == ""
+        # H_2 of (1e308, 1e308) overflows; the report would not be valid JSON.
+        # No RuntimeWarning either: the suite turns one into an error
+        for lam, m in (("1e308,1e308", "2"), ("1e200,1e200,1e200", "3"), ("1e200,-1e200,1e200", "3")):
+            code = cli.main(["cone", "--lambda", lam, "--m", m])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: the result is not finite; no report is written\n"
 
     def test_threads_flag_removed(self, capsys):
         code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1"])

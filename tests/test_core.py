@@ -91,6 +91,18 @@ class TestCone:
                         assert core.gamma_m_contains(lam, k).member
                     break
 
+    def test_cone_tolerance_checks_its_order(self):
+        # the orders gamma_m_contains rejects, for vectors and stacks alike
+        for m in (-1, 0, 3, 5):
+            message = f"cone order m={m} out of range for n=2"
+            for values in ([1.0, 2.0], [0.0, 0.0], [[1.0, 2.0], [0.0, 0.0]]):
+                with pytest.raises(ArgumentError, match=message):
+                    core.cone_tolerance(values, m)
+            with pytest.raises(ArgumentError, match=message):
+                core.gamma_m_contains([0.0, 0.0], m)
+        assert core.cone_tolerance([1.0, -2.0], 2) == 1e-10 * 5.0
+        assert core.cone_tolerance([[1.0, -2.0], [0.0, 0.0]], 1).tolist() == [1e-10 * 3.0, 1e-10]
+
 
 class TestMaclaurin:
     def test_equality_case(self):
@@ -392,6 +404,40 @@ def reference_hessian_residual(solution, problem, r_min, r_max):
 ORDERS = [(n, m) for n in range(1, 7) for m in range(1, n + 1)]
 
 
+def signed_rows(n, seed):
+    """(36, n) eigenvalue rows: mixed signs, exact zeros and -0.0, and
+    entries near 1e+-160, whose H_k overflow to +-inf or NaN or underflow."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((36, n))
+    rows[0] = 0.0
+    rows[1] = -0.0
+    rows[2:8][rng.random((6, n)) < 0.5] = 0.0
+    rows[8:14][rng.random((6, n)) < 0.5] = -0.0
+    rows[14:20] *= 1e160
+    rows[20:26] *= 1e-160
+    rows[26:32] *= 10.0 ** rng.choice([-160, 0, 160], (6, n))
+    rows[32:36] = np.abs(rows[32:36]) * 1e160  # same signs: +inf, never NaN
+    return rows
+
+
+def loop_maclaurin_means(h_values, n, m):
+    """maclaurin_check's means as a loop over numpy scalars."""
+    means = np.empty(m)
+    for p, h in enumerate(h_values, 1):
+        ratio = max(h / math.comb(n, p), 0.0)
+        means[p - 1] = ratio ** (1.0 / p)
+    return means
+
+
+def loop_enumerate(lam, k):
+    """The enumeration oracle's sum of products over numpy scalars."""
+    return float(sum(math.prod(c) for c in itertools.combinations(np.asarray(lam, dtype=float), k)))
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64), np.asarray(b, dtype=float).view(np.int64))
+
+
 def tuple_stack(n, m, count, seed):
     """count m-tuples: positive definite forms and indefinite Hermitian ones."""
     pd = core.sample_gamma_hat(n, m, count * m, seed).reshape(count, m, n, n)
@@ -498,6 +544,58 @@ class TestStackedKernel:
         assert stacked.shape == (3, 4, 5)
         for idx in np.ndindex(3, 4):
             assert np.array_equal(stacked[idx], core.elementary_symmetric_all(lam[idx], 4))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_single_vectors_match_stack_rows(self, n):
+        # one vector runs on Python floats, a stack on arrays: each row has
+        # the bits of its single call, signed zeros, infs and NaNs included
+        rows = signed_rows(n, 400 + n)
+        with_inf = rows[:8].copy()
+        with_inf[:, n // 2] = np.inf
+        with_inf[1::2, n - 1] = -np.inf
+        seen = np.zeros(3, dtype=bool)
+        for m in range(n + 1):
+            for stack, kernel in ((rows, core.elementary_symmetric_all), (with_inf, core._symmetric_all)):
+                with np.errstate(all="ignore"):
+                    stacked = kernel(stack, m)
+                for row, want in zip(stack, stacked):
+                    got = kernel(row, m)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+                seen |= [np.isposinf(stacked).any(), np.isneginf(stacked).any(), np.isnan(stacked).any()]
+        assert seen[:2].all() and (seen[2] or n == 1)  # one eigenvalue gives no NaN
+
+    @pytest.mark.parametrize("n, m", ORDERS)
+    def test_maclaurin_means_match_scalar_loop(self, n, m, monkeypatch):
+        rng = np.random.default_rng(500 + 10 * n + m)
+        for lam in rng.random((6, n)) + 0.05 * rng.standard_normal((6, n)):
+            if core.gamma_m_contains(lam, m).member:
+                want = loop_maclaurin_means(core.elementary_symmetric_all(lam, m)[1:], n, m)
+                assert same_bits(core.maclaurin_check(lam, m), want)
+        # H_p set just below 0 (clipped), to -0.0 and to 0.0 in turn
+        symmetric_all = core._symmetric_all
+        for values in ([-1e-12, -0.0, 0.0, 2.5], [-0.0], [-1e-300, 0.5]):
+            top = np.resize(values, m)
+
+            def set_h(lam, order):
+                h = symmetric_all(lam, order)
+                h[1:] = top
+                return h
+
+            monkeypatch.setattr(core, "_symmetric_all", set_h)
+            want = loop_maclaurin_means(top, n, m)
+            assert same_bits(core.maclaurin_check(np.ones(n), m), want)
+            monkeypatch.undo()
+        assert same_bits(loop_maclaurin_means(np.array([-0.0]), 1, 1), [-0.0])
+
+    @pytest.mark.parametrize("n, m", ORDERS)
+    def test_enumeration_matches_scalar_loop(self, n, m):
+        for lam in signed_rows(n, 600 + 10 * n + m)[::3]:
+            for k in range(n + 1):
+                with np.errstate(all="ignore"):
+                    want = loop_enumerate(lam, k)
+                got = core.elementary_symmetric_enumerate(lam, k)
+                assert type(got) is float and same_bits(got, want)
 
     def test_ragged_stack_rejected(self):
         with pytest.raises(ArgumentError):

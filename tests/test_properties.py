@@ -100,7 +100,7 @@ def test_polarization_linear_in_first_argument(order, c, seed):
 
 def test_subset_order_is_combinations_order():
     for m in range(1, 7):
-        incidence, signs = core._subsets(m)
+        masks, signs = core._subsets(m)  # each subset's bit mask less one
         subsets = [s for k in range(1, m + 1) for s in itertools.combinations(range(m), k)]
-        assert [tuple(np.flatnonzero(row)) for row in incidence] == subsets
+        assert [tuple(i for i in range(m) if (b + 1) >> i & 1) for b in masks.tolist()] == subsets
         assert list(signs) == [(-1) ** (m - len(s)) for s in subsets]
