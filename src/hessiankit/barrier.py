@@ -266,8 +266,10 @@ def shifted_modulus_majorant(data: BoundaryData, k1: float, diameter: float) -> 
 # ---------------------------------------------------------------------------
 # Evaluators
 
-# points x barriers per evaluation block, cache-sized: each (points, K)
-# float temporary takes 1 MiB
+# points x padded barriers per evaluation block, cache-sized: a block's
+# (points, leaves) box separations hold 1 / XI_LEAF of that, and its
+# (XI_LEAF, pairs) blocks, one column per (point, leaf) that passes, at most
+# all of it, 1 MiB per float temporary
 BLOCK_ELEMENTS = 2**17
 # barriers per kd leaf of an envelope; __call__ tests a point against a
 # whole leaf before it forms any of the leaf's pairs
@@ -296,10 +298,14 @@ class BarrierEnvelope:
       is the threshold on neg_g = s - B rho past which barrier k's near
       branch is below the far branch.
 
-    A pair of a leaf that passes is kept when s < r1^2 and
-    s - B rho <= tau_k, with s summed over the coordinates of the pair;
-    only kept pairs reach ``_near``.  ``_live`` yields them block by
-    block, and ``__call__`` and ``branch_info`` both read them.  Both
+    A point block's box separations form a (points, leaves) array.  The
+    (point, leaf) pairs that pass are the columns of an (XI_LEAF, pairs)
+    block, read from leaf-major (XI_LEAF, leaves) tables of barrier ids,
+    tau and each xi_j, so no index is expanded per pair.  A pair of the
+    block is kept when s < r1^2 and s - B rho <= tau_k, with s summed over
+    the coordinates of the pair; only kept pairs reach ``_near``.
+    ``_live`` yields them block by block, and ``__call__`` and
+    ``branch_info`` both read them.  Both
     skips hold for the computed values, so ``__call__`` is bit for bit the
     maximum over every branch:
 
@@ -350,25 +356,27 @@ class BarrierEnvelope:
         self._leaves = self._leaf_tables()
 
     def _leaf_tables(self):
-        """The barriers in kd-leaf order padded to whole leaves, the leaves'
-        (2n, leaves) bounds of xi, and tau in leaf order with each leaf's
-        largest."""
+        """The barriers in kd leaves padded to whole leaves: the leaves'
+        (2n, leaves) bounds of xi, and leaf-major (XI_LEAF, leaves) tables
+        of the barrier ids, their tau and, per complex coordinate, their
+        xi_j, with each leaf's largest tau."""
         p = self.barriers
         bar = self.omega_bar
         cols = np.concatenate([p.xi.real, p.xi.imag], axis=1).T
         order = _leaf_order(cols, XI_LEAF)
         order = np.concatenate([order, np.repeat(order[-1], -len(order) % XI_LEAF)])
         boxes = cols[:, order].reshape(cols.shape[0], -1, XI_LEAF)
+        slots = np.ascontiguousarray(order.reshape(-1, XI_LEAF).T)
         r_xi = np.sqrt((np.abs(p.xi) ** 2).sum(axis=-1)).max()
         # an overflow or NaN level sorts past the last knot: tau = +inf
         with np.errstate(over="ignore", invalid="ignore"):
             scale = (abs(p.floor) + np.abs(self.phi_xi).max() + p.K2.max()
                      + 2.0 * p.K1 * np.square(r_xi + p.r1) + p.gamma1 * bar.w[-1])
             level = (self.phi_xi - p.K2 - p.floor + SKIP_MARGIN * scale) / p.gamma1
-            knot = np.searchsorted(bar.w, level[order], side="right")
+            knot = np.searchsorted(bar.w, level[slots], side="right")
             tau = np.append(bar.t, np.inf)[knot] ** 2 * (1.0 + SKIP_MARGIN)
-        return (order, boxes.min(axis=2), boxes.max(axis=2), tau,
-                tau.reshape(-1, XI_LEAF).max(axis=1))
+        xi = [p.xi[slots, j] for j in range(p.xi.shape[1])]
+        return slots, boxes.min(axis=2), boxes.max(axis=2), tau, tau.max(axis=0), xi
 
     def _point_terms(self, zb):
         """B rho and the quadratic shift sz = K1 |z|^2 of the points zb."""
@@ -429,27 +437,28 @@ class BarrierEnvelope:
         A barrier padding the last leaf repeats its own pairs.
         """
         p = self.barriers
-        order, lo, hi, tau, tau_leaf = self._leaves
+        slots, lo, hi, tau, tau_leaf, xi = self._leaves
         r1_sq = p.r1 * p.r1
         tiny = np.finfo(float).tiny
-        step = max(1, BLOCK_ELEMENTS // len(order))
+        step = max(1, BLOCK_ELEMENTS // slots.size)
         for a in range(0, z.shape[0], step):
             rows = slice(a, a + step)
             zb = z[rows]
             brho, sz = self._point_terms(zb)
+            zc = zb.T.copy()  # one contiguous array per coordinate
             seps = (np.maximum(np.maximum(l - c[:, None], c[:, None] - h), 0.0)
-                    for c, l, h in zip(np.concatenate([zb.real, zb.imag], axis=1).T, lo, hi))
+                    for c, l, h in zip(np.concatenate([zc.real, zc.imag]), lo, hi))
             # a lower bound of s on each (point, leaf) block
             lb = _square_sum(seps) * (1.0 - SKIP_MARGIN) - tiny
             with np.errstate(invalid="ignore"):  # inf - inf at non-finite points
                 i, leaf = np.nonzero((lb < r1_sq) & (lb - brho[:, None] <= tau_leaf))
-            i = np.repeat(i, XI_LEAF)
-            at = (leaf[:, None] * XI_LEAF + np.arange(XI_LEAF)).ravel()
-            k = order[at]
-            s = sum(np.abs(zb[i, j] - p.xi[k, j]) ** 2 for j in range(zb.shape[1]))
-            d = s - brho[i]
-            keep = (s < r1_sq) & (d <= tau[at])
-            i, k = i[keep], k[keep]
+            # the (XI_LEAF, pairs) block of the kept (point, leaf) pairs
+            s = sum(np.abs(c.take(i) - x.take(leaf, axis=1)) ** 2 for c, x in zip(zc, xi))
+            d = s - brho.take(i)
+            keep = (s < r1_sq) & (d <= tau.take(leaf, axis=1))
+            slot, pair = np.nonzero(keep)
+            k = slots[slot, leaf[pair]]
+            i = i[pair]
             yield rows, p.floor + sz, i, k, self._near(np.maximum(d[keep], 0.0), sz[i], k)
 
     def __call__(self, z):

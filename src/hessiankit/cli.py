@@ -4,8 +4,8 @@ Every subcommand prints one JSON report to stdout (and writes it, plus any
 CSV artifacts, under ``--output-dir`` when given).  Reports embed the
 command line and version, plus the seed and tolerance of the subcommands
 that take those flags, and are byte-identical across runs with identical
-flags.  Each subcommand accepts only the flags it reads.  Exit codes:
-0 success, 1 failed verification, 2 usage error.
+flags on one host and numpy build.  Each subcommand accepts only the flags
+it reads.  Exit codes: 0 success, 1 failed verification, 2 usage error.
 """
 
 from __future__ import annotations
@@ -74,10 +74,8 @@ def _parse_lambda(text: str) -> np.ndarray:
 
 def cmd_cone(args) -> int:
     lam = _parse_lambda(args.lam)
-    # huge entries overflow the slack's power; the report refuses the inf
-    with np.errstate(over="ignore"):
-        rep = core.gamma_m_contains(lam, args.m, tol=args.tol)
-        effective = args.tol if args.tol is not None else core.cone_tolerance(lam, args.m)
+    rep = core.gamma_m_contains(lam, args.m, tol=args.tol)
+    effective = args.tol if args.tol is not None else core.cone_tolerance(lam, args.m)
     result = {
         "lambda": lam.tolist(),
         "m": args.m,

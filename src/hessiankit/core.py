@@ -126,11 +126,11 @@ def elementary_symmetric_enumerate(values, k: int) -> float:
 
 
 def cone_tolerance(values, m: int):
-    """Scale-aware slack for cone membership: 1e-10 * (1 + max|lambda|^m)."""
+    """Scale-aware slack for cone membership: 1e-10 * (1 + max|lambda|^m),
+    +inf where that overflows."""
     lam = _as_vector(values, stack=True)
     _check_cone_order(lam, m)
-    slack = _cone_slack(lam, m)
-    return float(slack) if lam.ndim == 1 else slack
+    return _cone_slack(lam, m)
 
 
 def _check_cone_order(lam: np.ndarray, m: int) -> None:
@@ -139,7 +139,13 @@ def _check_cone_order(lam: np.ndarray, m: int) -> None:
 
 
 def _cone_slack(lam: np.ndarray, m: int):
-    return 1e-10 * (1.0 + np.abs(lam).max(axis=-1) ** m)
+    if lam.ndim > 1:
+        return 1e-10 * (1.0 + np.abs(lam).max(axis=-1) ** m)
+    # a Python float power raises where numpy's warns, with the same bits
+    try:
+        return 1e-10 * (1.0 + float(np.abs(lam).max()) ** m)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -155,7 +161,9 @@ def gamma_m_contains(values, m: int, tol: float | None = None) -> ConeReport:
     """Test lambda in Gamma_m by evaluating H_1..H_m.
 
     ``tol`` defaults to the scale-aware :func:`cone_tolerance`.  Membership
-    is margin >= -tol where margin = min_j H_j.
+    is margin >= -tol where margin = min_j H_j.  Where that default
+    overflows while every H_j is finite, every vector would pass, so an
+    ``ArgumentError`` asks for an explicit ``tol``.
     """
     return _cone_report(_as_vector(values), m, tol)
 
@@ -167,6 +175,11 @@ def _cone_report(lam: np.ndarray, m: int, tol: float | None = None) -> ConeRepor
     margin = float(h.min())
     if tol is None:
         tol = _cone_slack(lam, m)
+        # every finite H_j would pass; an overflowing H_j stays in the report
+        if not math.isfinite(tol) and np.isfinite(h).all():
+            raise ArgumentError(
+                f"the default cone slack 1e-10 (1 + max|lambda|^{m}) overflows; give tol"
+            )
     return ConeReport(h_values=h, member=bool(margin >= -tol), margin=margin)
 
 

@@ -562,6 +562,112 @@ class TestLeafSkip:
         assert np.all(branch == 0) and unique.all()
 
 
+def expand_and_gather_live(env, z):
+    """``BarrierEnvelope._live`` with every pair expanded to its own entry:
+    the passing (point, leaf) rows repeated ``XI_LEAF`` times and gathered
+    through flat leaf-order tables, the form the leaf-major (XI_LEAF, pairs)
+    blocks replace.  Its tables are built here, from the barriers alone."""
+    p = env.barriers
+    bar = env.omega_bar
+    leaf_size = barrier.XI_LEAF
+    margin = barrier.SKIP_MARGIN
+    cols = np.concatenate([p.xi.real, p.xi.imag], axis=1).T
+    order = modulus._leaf_order(cols, leaf_size)
+    order = np.concatenate([order, np.repeat(order[-1], -len(order) % leaf_size)])
+    boxes = cols[:, order].reshape(cols.shape[0], -1, leaf_size)
+    lo, hi = boxes.min(axis=2), boxes.max(axis=2)
+    r_xi = np.sqrt((np.abs(p.xi) ** 2).sum(axis=-1)).max()
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = (abs(p.floor) + np.abs(env.phi_xi).max() + p.K2.max()
+                 + 2.0 * p.K1 * np.square(r_xi + p.r1) + p.gamma1 * bar.w[-1])
+        level = (env.phi_xi - p.K2 - p.floor + margin * scale) / p.gamma1
+        knot = np.searchsorted(bar.w, level[order], side="right")
+        tau = np.append(bar.t, np.inf)[knot] ** 2 * (1.0 + margin)
+    tau_leaf = tau.reshape(-1, leaf_size).max(axis=1)
+    r1_sq = p.r1 * p.r1
+    tiny = np.finfo(float).tiny
+    step = max(1, barrier.BLOCK_ELEMENTS // len(order))
+    for a in range(0, z.shape[0], step):
+        rows = slice(a, a + step)
+        zb = z[rows]
+        brho, sz = env._point_terms(zb)
+        seps = (np.maximum(np.maximum(l - c[:, None], c[:, None] - h), 0.0)
+                for c, l, h in zip(np.concatenate([zb.real, zb.imag], axis=1).T, lo, hi))
+        lb = modulus._square_sum(seps) * (1.0 - margin) - tiny
+        with np.errstate(invalid="ignore"):
+            i, leaf = np.nonzero((lb < r1_sq) & (lb - brho[:, None] <= tau_leaf))
+        i = np.repeat(i, leaf_size)
+        at = (leaf[:, None] * leaf_size + np.arange(leaf_size)).ravel()
+        k = order[at]
+        s = sum(np.abs(zb[i, j] - p.xi[k, j]) ** 2 for j in range(zb.shape[1]))
+        d = s - brho[i]
+        keep = (s < r1_sq) & (d <= tau[at])
+        i, k = i[keep], k[keep]
+        yield rows, p.floor + sz, i, k, env._near(np.maximum(d[keep], 0.0), sz[i], k)
+
+
+def sorted_pairs(i, k, near):
+    """The (i, k, near bits) triples of a block in one canonical order."""
+    bits = near.view(np.int64)
+    at = np.lexsort((bits, k, i))
+    return i[at], k[at], bits[at]
+
+
+class TestLeafMajorPairs:
+    """The (XI_LEAF, pairs) blocks of ``_live`` hold the same (point,
+    barrier, near bits) triples as pairs formed one by one, block by block,
+    and the envelope and ``branch_info`` read the same bits from either."""
+
+    @pytest.mark.parametrize(
+        "dom, spec, f_sup, xi_count",
+        [
+            (BALL, "psi_sqrt", 0.0, 13),  # the last leaf padded
+            (BALL, "re_z1", 0.0, barrier.XI_LEAF),  # exactly one leaf
+            (BALL, "re_z1", 0.0, 1),
+            (BALL, "psi_sqrt", 0.0, 150),  # several leaves and point blocks
+            (Domain.ellipsoid([1.0, 4.0]), "re_z1", 0.0, 40),
+            (Domain.ball(3, 1.0), "re_z1", 1.0, 40),
+        ],
+        ids=["thirteen", "one-leaf", "one-barrier", "many", "ellipsoid", "ball3-f1"],
+    )
+    def test_matches_expanded_pairs(self, monkeypatch, dom, spec, f_sup, xi_count):
+        data = barrier.make_boundary_data(spec, dom)
+        density = ones_density if f_sup > 0 else None
+        env = barrier.build_subsolution(data, density, dom, m=2, xi_count=xi_count, seed=80,
+                                        f_sup=f_sup)
+        step = barrier.BLOCK_ELEMENTS // env._leaves[0].size
+        # a first block beyond every B(xi, r1); points with non-finite coordinates
+        far = 3.0 * geometry.sample_boundary(Domain.ball(dom.n, 1.0), step, seed=81)
+        bad = np.zeros((4, dom.n), dtype=complex)
+        bad[0, 0], bad[1, 0], bad[2, -1], bad[3, 0] = np.nan, np.inf, -np.inf, complex(np.inf, np.nan)
+        pts = np.concatenate([
+            far,
+            barrier.verification_grid(dom, 1500, seed=82, anchors=data.anchors),
+            geometry.sample_boundary(dom, 200, seed=83),
+            env.barriers.xi,
+            0.999 * env.barriers.xi,
+            gluing_sphere_points(env, 400, seed=84),
+            bad,
+        ])
+        with np.errstate(invalid="ignore"):
+            blocks = list(env._live(pts))
+            want = list(expand_and_gather_live(env, pts))
+            assert len(blocks) == len(want) > 1
+            assert blocks[0][2].size == 0 and want[0][2].size == 0
+            assert sum(block[2].size for block in blocks) > 0
+            for (rows, far_b, i, k, near), (want_rows, want_far, *want_pairs) in zip(blocks, want):
+                assert rows == want_rows
+                assert np.array_equal(far_b, want_far, equal_nan=True)
+                for got, ref in zip(sorted_pairs(i, k, near), sorted_pairs(*want_pairs)):
+                    assert np.array_equal(got, ref)
+            value = env(pts)
+            branch, unique, top = env.branch_info(pts)
+            monkeypatch.setattr(env, "_live", lambda z: expand_and_gather_live(env, z))
+            assert np.array_equal(value, env(pts), equal_nan=True)
+            for got, ref in zip((branch, unique, top), env.branch_info(pts)):
+                assert np.array_equal(got, ref, equal_nan=True)
+
+
 class TestLeafSkipPrunes:
     """Only a small share of the pairs reaches the modulus profile in
     ``__call__``; about a quarter of them lie inside B(xi, r1)."""

@@ -115,6 +115,18 @@ class TestCone:
             assert code == 2 and captured.out == ""
             assert captured.err == "error: the result is not finite; no report is written\n"
 
+    def test_overflowing_default_slack_exits_2(self, capsys):
+        # H is finite but 1e-10 (1 + max|lambda|^3) is not; an explicit tol still works
+        lam = "--lambda=1e103,-1e103,1"
+        assert cli.main(["cone", lam, "--m", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the default cone slack 1e-10 (1 + max|lambda|^3) overflows; give tol\n"
+        )
+        code, out = run_cli(capsys, ["cone", lam, "--m", "3", "--tol", "1"])
+        assert code == 0 and json_part(out)["result"]["member"] is False
+
     def test_threads_flag_removed(self, capsys):
         code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1"])
         assert code == 0 and "threads" not in json_part(out)

@@ -103,6 +103,26 @@ class TestCone:
         assert core.cone_tolerance([1.0, -2.0], 2) == 1e-10 * 5.0
         assert core.cone_tolerance([[1.0, -2.0], [0.0, 0.0]], 1).tolist() == [1e-10 * 3.0, 1e-10]
 
+    def test_overflowing_default_slack_is_refused(self):
+        # 1e-10 (1 + 1e309) overflows, and every finite H_j would pass it
+        lam = [1e103, -1e103, 1.0]
+        for check in (core.gamma_m_contains, core.maclaurin_check):
+            with pytest.raises(ArgumentError, match=r"default cone slack .*\^3\) overflows"):
+                check(lam, 3)
+        assert core.cone_tolerance(lam, 3) == math.inf
+        rep = core.gamma_m_contains(lam, 3, tol=1.0)
+        assert not rep.member and rep.margin == -1e206
+        # at m = 2 the slack, 1e196, is finite and far below |H_2|
+        assert not core.gamma_m_contains(lam, 2).member
+
+    def test_vector_slack_keeps_the_numpy_scalar_bits(self):
+        # one vector's slack is a Python float power, as numpy's scalar one
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            lam = rng.standard_normal(int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-40, 40)
+            m = int(rng.integers(1, lam.size + 1))
+            assert core.cone_tolerance(lam, m) == 1e-10 * (1.0 + np.abs(lam).max() ** m)
+
 
 class TestMaclaurin:
     def test_equality_case(self):
