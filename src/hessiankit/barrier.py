@@ -230,10 +230,11 @@ def cone_coefficient(domain: Domain, m: int) -> float:
     in the cone.
 
     A is the pseudoconvexity constant.  With A = p / q as a rational, B a - 1
-    is a positive multiple of 2^k q a - p, tested exactly: all of its H_1..H_m
-    are >= 0.  Rounding B up keeps it in the cone where 2^k / A is on its
-    edge.  Every entry is >= 0 once B >= 1 / min(a); if B max(a) leaves the
-    double range first, DomainError says so.
+    is a positive multiple of 2^k q a - p, tested by the exact rule of
+    ``core.gamma_m_contains``: all of its H_1..H_m are >= 0.  Rounding B up
+    keeps it in the cone where 2^k / A is on its edge.  Every entry is >= 0
+    once B >= 1 / min(a); if B max(a) leaves the double range first,
+    DomainError says so.
     """
     b = 1.0 / pseudoconvexity_constant(domain, m)
     a = domain.coeffs
@@ -241,9 +242,7 @@ def cone_coefficient(domain: Domain, m: int) -> float:
     p, q = min(Fraction(h[j], math.comb(domain.n, j) * den**j)
                for j in range(1, m + 1)).as_integer_ratio()
     while math.isfinite(b * max(a)):
-        v = [Fraction(x) * q - p for x in a]
-        neg = sum(x < 0 for x in v)  # at most n - m in the closed Gamma_m
-        if neg == 0 or neg <= domain.n - m and min(core._exact_symmetric(v, m)[0]) >= 0:
+        if core._in_closed_cone([Fraction(x) * q - p for x in a], m):
             b = float(Fraction(q, p))  # correctly rounded, so at most an ulp below
             return b if Fraction(b) >= Fraction(q, p) else math.nextafter(b, math.inf)
         b, q = 2.0 * b, 2 * q  # doubling is exact: b is the double 2^k / A
@@ -328,7 +327,7 @@ class BarrierEnvelope:
       knot's value in between, so it reads at least w_j at every
       x >= t_j.  With t_j the first knot whose value exceeds that level,
       tau_k = t_j^2 (1 + SKIP_MARGIN) keeps sqrt(neg_g) >= t_j whenever
-      neg_g > tau_k; tau_k = +inf when no knot does (constant data).
+      neg_g > tau_k; tau_k = +inf when no knot does (flat or nearly flat data).
     * ``max`` does not round, and no branch is -0.0, so dropping branches
       <= the computed far branch leaves the output's bits unchanged.  A
       point with a non-finite coordinate has no live pair.

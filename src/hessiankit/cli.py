@@ -75,14 +75,12 @@ def _parse_lambda(text: str) -> np.ndarray:
 def cmd_cone(args) -> int:
     lam = _parse_lambda(args.lam)
     rep = core.gamma_m_contains(lam, args.m, tol=args.tol)
-    effective = args.tol if args.tol is not None else core.cone_tolerance(lam, args.m)
     result = {
         "lambda": lam.tolist(),
         "m": args.m,
         "h_values": rep.h_values.tolist(),
         "member": rep.member,
         "margin": rep.margin,
-        "tol_effective": effective,
     }
     sys.stdout.write(_report(args, result, "cone"))
     return 0

@@ -27,9 +27,9 @@ eigenvalues, ``sigma_tilde`` (..., n, n) forms, ``polarized_form`` and
 single call (which returns floats); samplers return (count, n, n) arrays.
 
 A single eigenvalue vector runs the H_k recurrence on Python floats, with
-the bits of a stack row.  That path raises no numpy floating-point warnings
-and no ``np.errstate`` errors, so a caller that needs those flags passes a
-(1, n) stack, as ``geometry.pseudoconvexity_constant`` does.
+the bits of a stack row, and raises no numpy floating-point warnings.
+Membership in the closed cone has one rule, exact on the given doubles,
+``_in_closed_cone``; only an explicit ``tol`` tests the double H_j instead.
 """
 
 from __future__ import annotations
@@ -126,19 +126,10 @@ def elementary_symmetric_enumerate(values, k: int) -> float:
 
 
 def cone_tolerance(values, m: int):
-    """Scale-aware slack for cone membership: 1e-10 * (1 + max|lambda|^m),
-    +inf where that overflows."""
+    """Scale-aware slack 1e-10 * (1 + max|lambda|^m), +inf where that
+    overflows; membership does not read it."""
     lam = _as_vector(values, stack=True)
     _check_cone_order(lam, m)
-    return _cone_slack(lam, m)
-
-
-def _check_cone_order(lam: np.ndarray, m: int) -> None:
-    if not 1 <= m <= lam.shape[-1]:
-        raise ArgumentError(f"cone order m={m} out of range for n={lam.shape[-1]}")
-
-
-def _cone_slack(lam: np.ndarray, m: int):
     if lam.ndim > 1:
         return 1e-10 * (1.0 + np.abs(lam).max(axis=-1) ** m)
     # a Python float power raises where numpy's warns, with the same bits
@@ -146,6 +137,23 @@ def _cone_slack(lam: np.ndarray, m: int):
         return 1e-10 * (1.0 + float(np.abs(lam).max()) ** m)
     except OverflowError:
         return math.inf
+
+
+def _check_cone_order(lam: np.ndarray, m: int) -> None:
+    if not 1 <= m <= lam.shape[-1]:
+        raise ArgumentError(f"cone order m={m} out of range for n={lam.shape[-1]}")
+
+
+def _in_closed_cone(values, m: int) -> bool:
+    """Whether the dyadic rationals ``values`` (doubles or their Fractions)
+    have every H_1..H_m >= 0, exactly.  Then lambda + eps e has m positive
+    entries for each eps > 0, so a member has at most n - m negative ones;
+    with none it is a member, and the other vectors take the recurrence.
+    """
+    neg = sum(x < 0 for x in values)
+    if neg == 0 or neg > len(values) - m:
+        return neg == 0
+    return min(_exact_symmetric(values, m)[0]) >= 0
 
 
 @dataclass
@@ -158,12 +166,11 @@ class ConeReport:
 
 
 def gamma_m_contains(values, m: int, tol: float | None = None) -> ConeReport:
-    """Test lambda in Gamma_m by evaluating H_1..H_m.
+    """Test lambda in the closed Gamma_m by evaluating H_1..H_m.
 
-    ``tol`` defaults to the scale-aware :func:`cone_tolerance`.  Membership
-    is margin >= -tol where margin = min_j H_j.  Where that default
-    overflows while every H_j is finite, every vector would pass, so an
-    ``ArgumentError`` asks for an explicit ``tol``.
+    Without ``tol`` membership is exact for the given doubles, whatever the
+    rounding or overflow of the reported double H_j.  An explicit ``tol``
+    tests margin >= -tol, where margin = min_j of the double H_j.
     """
     return _cone_report(_as_vector(values), m, tol)
 
@@ -173,21 +180,16 @@ def _cone_report(lam: np.ndarray, m: int, tol: float | None = None) -> ConeRepor
     _check_cone_order(lam, m)
     h = _symmetric_all(lam, m)[1:]
     margin = float(h.min())
-    if tol is None:
-        tol = _cone_slack(lam, m)
-        # every finite H_j would pass; an overflowing H_j stays in the report
-        if not math.isfinite(tol) and np.isfinite(h).all():
-            raise ArgumentError(
-                f"the default cone slack 1e-10 (1 + max|lambda|^{m}) overflows; give tol"
-            )
-    return ConeReport(h_values=h, member=bool(margin >= -tol), margin=margin)
+    member = _in_closed_cone(lam.tolist(), m) if tol is None else margin >= -tol
+    return ConeReport(h_values=h, member=bool(member), margin=margin)
 
 
 def maclaurin_check(values, m: int) -> np.ndarray:
     """Normalized means s_p = (H_p / binom(n,p))^(1/p), p = 1..m.
 
-    Only meaningful on the cone, so membership is verified first.  On
-    Gamma_m the sequence is nonincreasing (Maclaurin); callers assert that.
+    Only meaningful on the cone, so membership is verified first, exactly
+    as by ``gamma_m_contains``.  On Gamma_m the sequence is nonincreasing
+    (Maclaurin); callers assert that.
     """
     lam = _as_vector(values)
     n = lam.size
@@ -308,18 +310,22 @@ class GardingReport:
 def garding_check(forms, tol: float = 1e-10) -> GardingReport:
     """Margin M(a_1..a_m) - prod sigma_tilde(a_i)^(1/m); >= -tol on the cone.
 
-    Raises :class:`DomainError` if any argument lies outside Gamma_hat_m.
+    Raises :class:`DomainError` if any argument lies outside Gamma_hat_m:
+    its computed eigenvalues fail the exact rule of ``gamma_m_contains``.
     """
     tuples = _as_tuples(forms)
-    m = tuples.shape[-3]
+    m, n = tuples.shape[-3], tuples.shape[-1]
     lam, h, value = _subset_spectra(tuples)
     lam, h = lam[..., :m, :], h[..., :m, :]  # the single forms
-    cone_margin = h[..., 1:].min(axis=-1)
-    outside = np.flatnonzero(cone_margin < -_cone_slack(lam, m))
-    if outside.size:
-        i = outside[0]
-        raise DomainError(f"argument {i % m} outside the cone (margin {cone_margin.flat[i]})")
-    sig = np.maximum(h[..., m] / math.comb(lam.shape[-1], m), 0.0)
+    # a form with no negative eigenvalue is in the cone; the others, in
+    # order, take the exact rule up to the first one outside
+    rows = lam.reshape(-1, n)
+    signed = np.flatnonzero((rows < 0).any(axis=-1))
+    i = next((i for i in signed if not _in_closed_cone(rows[i].tolist(), m)), None)
+    if i is not None:
+        margin = h[..., 1:].min(axis=-1).flat[i]
+        raise DomainError(f"argument {i % m} outside the cone (margin {margin})")
+    sig = np.maximum(h[..., m] / math.comb(n, m), 0.0)
     bound = np.prod(sig ** (1.0 / m), axis=-1)
     margin = value - bound
     if tuples.ndim == 3:
@@ -378,7 +384,8 @@ def inf_characterization(
     Every sampled tuple gives a value >= the exact one (Garding), and when
     sigma_tilde(A) > 0 the rescaled copies of A attain it, so both the lower
     bound and its sharpness are exercised.  With sigma_tilde(A) = 0 only the
-    one-sided bound is reported (minimizer undefined).
+    one-sided bound is reported (minimizer undefined).  The form's computed
+    eigenvalues must pass the exact rule of ``gamma_m_contains``.
     """
     a = _as_hermitian(entries)
     n = a.shape[0]

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _exact_symmetric, elementary_symmetric_all
+# elementary_symmetric_all is bound here for bench/tracing.py, which patches
+# this module's binding
+from .core import _exact_symmetric, elementary_symmetric_all  # noqa: F401
 from .errors import ArgumentError, DomainError, spec_number
 
 
@@ -102,27 +104,16 @@ def pseudoconvexity_constant(domain: Domain, m: int) -> float:
     """Min over k = 1..m of sigma_tilde_k(hess rho).
 
     hess rho is constant on the model domains, so the value holds on every
-    neighbourhood of the closure.  It is a positive diagonal, read directly
-    and sorted ascending as its eigenvalues, so every sigma_tilde_k is
-    positive.  Where the double recurrence over- or underflows, the
-    sigma_tilde_k are recomputed from the diagonal as exact rationals.  One
-    outside the normal double range raises DomainError:
-    ellipsoid (1e-200, 1e-200), a ball of radius 1e100 in C^2, has
-    sigma_tilde_2 = 1e-400.
+    neighbourhood of the closure.  It is a positive diagonal, read directly,
+    so every sigma_tilde_k is positive: they are computed from the diagonal
+    as exact rationals and the least is rounded once.  One outside the
+    normal double range raises DomainError: ellipsoid (1e-200, 1e-200), a
+    ball of radius 1e100 in C^2, has sigma_tilde_2 = 1e-400.
     """
     if not 1 <= m <= domain.n:
         raise ArgumentError(f"m={m} out of range for n={domain.n}")
     n = domain.n
     low, high = sys.float_info.min, sys.float_info.max
-    try:
-        with np.errstate(over="raise", under="raise"):
-            # a (1, n) stack: only the array recurrence raises these flags
-            h = elementary_symmetric_all(np.sort(domain.hess_diag())[None], m)[0]
-            best = min(h[k] / math.comb(n, k) for k in range(1, m + 1))
-        if best >= low:
-            return float(best)
-    except FloatingPointError:
-        pass
     h, den = _exact_symmetric(domain.coeffs, m)
     sigma = [Fraction(h[k], math.comb(n, k) * den**k) for k in range(1, m + 1)]
     for k, s in enumerate(sigma, 1):

@@ -33,6 +33,7 @@ PACKAGE = ROOT / "src" / "hessiankit"
 BENCH_PINNED = {
     "TableDensity": "bench/workloads.py",
     "boundary_from_samples": "bench/workloads.py",
+    "cone_tolerance": "bench/workloads.py",
     "elementary_symmetric_enumerate": "bench/workloads.py",
     "l_alpha": "bench/workloads.py",
 }

@@ -499,6 +499,33 @@ class TestLeafSkip:
             far, near = dense_branches(env, env.barriers.xi)
             assert np.any(near.max(axis=1) == far)
 
+    def test_pairs_past_the_last_knot_read_its_value(self):
+        # data 1e6 + 1e-9 Re z_1: SKIP_MARGIN S, about 2e-6, is above every
+        # knot value (at most 2e-8), so no knot exceeds a barrier's level and
+        # no tau is finite.  B = 1e4 on this ellipsoid puts -g near the centre
+        # far past the last knot t = d = 20, and omega_bar is held at its
+        # last value there: a near branch that read 0 would beat the floor
+        dom = Domain.ellipsoid([0.01, 0.01])
+        x_max = float(dom.semi_axes()[0])
+        data = barrier.BoundaryData(
+            phi=lambda z: 1e6 + 1e-9 * np.asarray(z, dtype=complex)[..., 0].real,
+            omega_phi=modulus.linear_curve(1e-9, dom.diameter),
+            inf_phi=1e6 - 1e-9 * x_max,
+            sup_phi=1e6 + 1e-9 * x_max,
+            anchors=np.stack([barrier._axis_point(dom, -1.0), barrier._axis_point(dom, 1.0)]),
+        )
+        env = barrier.build_subsolution(data, None, dom, m=2, xi_count=40, seed=70)
+        p = env.barriers
+        assert p.B == 1e4 and np.isinf(env._leaves[3]).all()
+        pts = np.concatenate([
+            barrier.verification_grid(dom, 1500, seed=71, anchors=data.anchors),
+            0.1 * geometry.sample_interior(dom, 200, seed=72),
+        ])
+        s = sum(np.abs(pts[:, j, None] - p.xi[:, j]) ** 2 for j in range(2))
+        neg_g = s - (p.B * dom.rho(pts))[:, None]
+        assert np.any((s < p.r1 * p.r1) & (neg_g > env.omega_bar.length ** 2))
+        assert_matches_dense(env, pts)
+
     def test_points_on_a_gluing_sphere(self):
         # r1 = 1: z = 0 is on every sphere; z = (1, 1) is on the spheres of
         # (1, 0) and (0, 1), outside the ball, where B rho >= s leaves neg_g

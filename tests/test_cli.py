@@ -115,17 +115,20 @@ class TestCone:
             assert code == 2 and captured.out == ""
             assert captured.err == "error: the result is not finite; no report is written\n"
 
-    def test_overflowing_default_slack_exits_2(self, capsys):
-        # H is finite but 1e-10 (1 + max|lambda|^3) is not; an explicit tol still works
+    def test_overflowing_slack_vector_exits_0(self, capsys):
+        # H is finite but 1e-10 (1 + max|lambda|^3) is not; membership is
+        # exact and does not read it, and an explicit tol still works
         lam = "--lambda=1e103,-1e103,1"
-        assert cli.main(["cone", lam, "--m", "3"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: the default cone slack 1e-10 (1 + max|lambda|^3) overflows; give tol\n"
-        )
-        code, out = run_cli(capsys, ["cone", lam, "--m", "3", "--tol", "1"])
-        assert code == 0 and json_part(out)["result"]["member"] is False
+        for tol in ([], ["--tol", "1"]):
+            code, out = run_cli(capsys, ["cone", lam, "--m", "3", *tol])
+            assert code == 0 and json_part(out)["result"]["member"] is False
+
+    def test_membership_is_exact(self, capsys):
+        # H_1 = -999,998 was accepted under the order-m slack of about 1e8
+        code, out = run_cli(capsys, ["cone", "--lambda=-1e6,1,1", "--m", "3"])
+        result = json_part(out)["result"]
+        assert code == 0 and result["member"] is False and result["margin"] == -1999999.0
+        assert "tol_effective" not in result
 
     def test_threads_flag_removed(self, capsys):
         code, out = run_cli(capsys, ["cone", "--lambda", "1,2", "--m", "1"])
@@ -541,10 +544,41 @@ def test_barrier_at_the_ends_of_the_domain_range(capsys, tmp_path, n, domain):
     assert code == 0 and json_part(out)["result"]["pass"] is True
 
 
-def test_readme_command_line_examples_parse():
+def readme_command_line() -> str:
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
-    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_flag_table() -> dict:
+    """The README's subcommand table: name -> (flags marked yes, result keys
+    of the default tolerance, top-level report keys)."""
+    lines = [ln for ln in readme_command_line().splitlines() if ln.startswith("| `")]
+    table = {}
+    for line in lines:
+        name, seed, tol, fmt, default_tol, keys = (c.strip() for c in line.strip("|").split("|"))
+        flags = {f for f, c in zip(("--seed", "--tol", "--format"), (seed, tol, fmt)) if c == "yes"}
+        table[name.strip("`")] = (flags, set(re.findall(r"`(\w+)`", default_tol)),
+                                  set(re.findall(r"`(\w+)`", keys)))
+    return table
+
+
+def test_readme_flag_table_matches_the_cli(capsys, tmp_path):
+    # the flags each subcommand takes, the result key that states its
+    # default tolerance (none for cone, which decides membership exactly)
+    # and the top-level keys of a cheap run's report
+    table = readme_flag_table()
+    assert set(table) == set(TAKES)
+    for name, (flags, default_tol, keys) in table.items():
+        assert flags == TAKES[name], name
+        code, out = run_cli(capsys, with_files([name, *REQUIRED[name]], tmp_path))
+        payload = json_part(out)
+        assert code == 0 and set(payload) == keys, name
+        assert {"tol_effective", "quadrature_tol"} & set(payload["result"]) == default_tol, name
+
+
+def test_readme_command_line_examples_parse():
+    section = readme_command_line()
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     examples = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("hessiankit ")]

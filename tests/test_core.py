@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,17 +104,22 @@ class TestCone:
         assert core.cone_tolerance([1.0, -2.0], 2) == 1e-10 * 5.0
         assert core.cone_tolerance([[1.0, -2.0], [0.0, 0.0]], 1).tolist() == [1e-10 * 3.0, 1e-10]
 
-    def test_overflowing_default_slack_is_refused(self):
-        # 1e-10 (1 + 1e309) overflows, and every finite H_j would pass it
+    def test_overflowing_slack_vector_is_decided_exactly(self):
+        # 1e-10 (1 + 1e309) overflows, but membership does not read it: one
+        # negative entry of three is more than n - m = 0 at m = 3
         lam = [1e103, -1e103, 1.0]
-        for check in (core.gamma_m_contains, core.maclaurin_check):
-            with pytest.raises(ArgumentError, match=r"default cone slack .*\^3\) overflows"):
-                check(lam, 3)
+        rep = core.gamma_m_contains(lam, 3)
+        assert not rep.member and rep.margin == -1e206
+        with pytest.raises(DomainError, match="Maclaurin"):
+            core.maclaurin_check(lam, 3)
         assert core.cone_tolerance(lam, 3) == math.inf
         rep = core.gamma_m_contains(lam, 3, tol=1.0)
         assert not rep.member and rep.margin == -1e206
-        # at m = 2 the slack, 1e196, is finite and far below |H_2|
+        # at m = 2 the recurrence decides: H_2 = -1e206
         assert not core.gamma_m_contains(lam, 2).member
+        # a member at the same scale, whose chain is no longer refused
+        assert core.gamma_m_contains([1e103, 1e103, -1.0], 2).member
+        assert core.maclaurin_check([1e103, 1e103, -1.0], 2)[1] > 0.0
 
     def test_vector_slack_keeps_the_numpy_scalar_bits(self):
         # one vector's slack is a Python float power, as numpy's scalar one
@@ -122,6 +128,108 @@ class TestCone:
             lam = rng.standard_normal(int(rng.integers(1, 7))) * 10.0 ** rng.uniform(-40, 40)
             m = int(rng.integers(1, lam.size + 1))
             assert core.cone_tolerance(lam, m) == 1e-10 * (1.0 + np.abs(lam).max() ** m)
+
+
+def exact_member(values, m):
+    """Every H_1..H_m >= 0 of the doubles ``values``, in Fraction arithmetic."""
+    h = [Fraction(1)] + [Fraction(0)] * m
+    for x in values:
+        for k in range(m, 0, -1):
+            h[k] += Fraction(float(x)) * h[k - 1]
+    return min(h[1:]) >= 0
+
+
+# the double recurrence reads margin 0.0 on each, while the exact H_2 < 0
+ZERO_MARGIN_OUTSIDE = [
+    [2.0, 2.0, -3.0, 1.9999999999999998, 2.0],
+    [-6.938893903907228e-18, 2.0, -1.0, 2.0],
+]
+EDGE_VECTORS = [
+    ([1.0, 1.0, -0.5], 2),  # H_2 = 0 exactly, with n - m negative entries
+    ([0.0, 0.0, 0.0], 3),
+    ([0.0, 1.0, -1.0], 1),
+    ([0.0, 1.0, -1.0], 2),
+    ([-1e6, 1.0, 1.0], 3),  # accepted by the order-m slack of about 1e8
+    ([1e200, -1e200, 1e200], 3),  # H_2 = H_3 = -inf in doubles
+    ([1e103, -1e103, 1.0], 2),
+    *((v, 2) for v in ZERO_MARGIN_OUTSIDE),
+]
+CONE_SCALES = (1.0, 2.0**500, 2.0**-500, 1e150, 1e-150)
+
+
+def cone_corpus(count, seed):
+    """(vector, m) pairs: the edge vectors, the zero-margin ones scaled by
+    2^+-500, then seeded vectors with n <= 8 (normal, shifted, and small
+    integers with exact zeros), each at every scale of ``CONE_SCALES``."""
+    rng = np.random.default_rng(seed)
+    corpus = [(np.array(v), m) for v, m in EDGE_VECTORS]
+    corpus += [(np.array(v) * s, 2) for v in ZERO_MARGIN_OUTSIDE for s in CONE_SCALES[1:3]]
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        lam = (rng.standard_normal(n), rng.standard_normal(n) + 1.0,
+               rng.integers(-2, 4, n).astype(float))[i % 3]
+        m = int(rng.integers(1, n + 1))
+        corpus += [(lam * scale, m) for scale in CONE_SCALES]
+    return corpus
+
+
+class TestExactConeRule:
+    """Every membership decision against a Fraction oracle on the doubles
+    the decision reads: the eigenvalues given, or the computed spectra."""
+
+    def test_corpus_reaches_every_path(self):
+        # members and non-members, decided by the sign count alone both
+        # ways and by the exact recurrence both ways
+        paths = set()
+        for lam, m in cone_corpus(150, 0):
+            neg = int((lam < 0).sum())
+            counted = neg == 0 or neg > lam.size - m
+            paths.add((counted, exact_member(lam, m)))
+        assert paths == {(True, True), (True, False), (False, True), (False, False)}
+        for lam in ZERO_MARGIN_OUTSIDE:
+            assert core.elementary_symmetric_all(lam, 2)[1:].min() == 0.0
+            assert not exact_member(lam, 2)
+
+    def test_gamma_m_contains_and_maclaurin_check(self):
+        for lam, m in cone_corpus(400, 1):
+            want = exact_member(lam, m)
+            assert core.gamma_m_contains(lam, m).member == want
+            if want:
+                core.maclaurin_check(lam, m)
+            else:
+                with pytest.raises(DomainError, match="Maclaurin"):
+                    core.maclaurin_check(lam, m)
+
+    def test_garding_check_stacks(self):
+        # two tuples of identities, with form p of the second replaced by
+        # the diagonal of lambda: it alone can be outside the cone
+        for j, (lam, m) in enumerate(cone_corpus(60, 2)):
+            n, p = lam.size, j % m
+            tuples = np.tile(np.eye(n, dtype=complex), (2, m, 1, 1))
+            tuples[1, p] = np.diag(lam)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if exact_member(np.linalg.eigvalsh(tuples[1, p]), m):
+                    core.garding_check(tuples)
+                else:
+                    with pytest.raises(DomainError, match=f"argument {p} outside the cone"):
+                        core.garding_check(tuples)
+
+    def test_inf_characterization(self):
+        for lam, m in cone_corpus(60, 3):
+            form = np.diag(lam).astype(complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if exact_member(np.linalg.eigvalsh(form), m):
+                    core.inf_characterization(form, m, samples=1)
+                else:
+                    with pytest.raises(DomainError, match="form outside the cone"):
+                        core.inf_characterization(form, m, samples=1)
+
+    def test_edge_spectra_are_exact(self):
+        # eigvalsh returns the unscaled edge vectors as they are, so the
+        # form-side tests read the same doubles as gamma_m_contains
+        for lam, _ in EDGE_VECTORS:
+            form = np.diag(lam).astype(complex)
+            assert np.array_equal(np.linalg.eigvalsh(form), np.sort(lam))
 
 
 class TestMaclaurin:

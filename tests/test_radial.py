@@ -376,6 +376,22 @@ class TestBisectionMatchesColumnStackLoop:
         assert ref.panels_bisected == len(settled_in) > 0
         assert_same_solution(radial.radial_solve(problem, grid=grid, tol=tol), ref)
 
+    @pytest.mark.parametrize("n, m, density, tol, pieces", [
+        (3, 3, PowerDensity(1.0), 3e-7, 8),
+        (3, 3, PowerDensity(1.0), 3e-11, 16),
+        (2, 2, PowerDensity(2.5), 3e-8, 32),
+    ])
+    def test_panel_settling_at_a_multiple_of_eight_pieces(self, n, m, density, tol, pieces):
+        # numpy sums 8 or more pieces in eight lanes and adds the remainder
+        # after them, so at a multiple of 8 pieces its sum is not the sum of
+        # all pieces but the last, plus the last
+        problem = RadialProblem(n, m, density)
+        grid = np.array([0.0, 0.5, 1.0])
+        ref, settled_in = reference_bisection_solve(problem, grid, tol)
+        # the one bisected panel settles in round pieces - 1
+        assert sorted(settled_in.values()) == [pieces - 1]
+        assert_same_solution(radial.radial_solve(problem, grid=grid, tol=tol), ref)
+
     def test_panels_settling_in_different_rounds(self):
         # the three outer panels settle in round 2; the origin panel runs on
         # alone to round 74, through five more doublings of the capacity
