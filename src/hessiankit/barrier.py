@@ -4,8 +4,9 @@ Construction per boundary point xi, for boundary data phi on a domain
 centred at 0, density bound K1 = sup f^(1/m) and K2 = K1 |xi|^2:
 
 * shifted data      phitilde = phi - K1 |z|^2 + K2
-* cone quadratic    g(z) = B rho(z) - |z - xi|^2, with B large enough that
-                    B hess(rho) - I stays in the cone (so g is m-sh)
+* cone quadratic    g(z) = B rho(z) - |z - xi|^2, with B hess(rho) - I in
+                    the closed cone for the double B itself (so g is m-sh):
+                    B = 2^k b0, b0 the least double >= 1 / A, least k >= 0
 * profile           chi(t) = -omega_bar((-t)^(1/2)), the concave majorant
                     omega_bar of the shifted data's modulus, which makes
                     chi convex nondecreasing on [-d^2, 0]
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -213,10 +214,6 @@ class BarrierParams:
     def __len__(self):
         return self.xi.shape[0]
 
-    def __getitem__(self, i: int) -> "BarrierParams":
-        """The parameters of barrier i alone."""
-        return replace(self, K2=self.K2[[i]], xi=self.xi[[i]])
-
     def describe(self) -> dict:
         """Scalar parameters of the first barrier; gamma2 is its far-branch
         constant floor + K2."""
@@ -226,26 +223,25 @@ class BarrierParams:
 
 
 def cone_coefficient(domain: Domain, m: int) -> float:
-    """The least double >= 2^k / A for the least k >= 0 with B hess(rho) - I
-    in the cone.
+    """B = 2^k b0 for the least k >= 0 with B hess(rho) - I in the closed
+    cone, where b0 is the least double >= 1 / A.
 
-    A is the pseudoconvexity constant.  With A = p / q as a rational, B a - 1
-    is a positive multiple of 2^k q a - p, tested by the exact rule of
-    ``core.gamma_m_contains``: all of its H_1..H_m are >= 0.  Rounding B up
-    keeps it in the cone where 2^k / A is on its edge.  Every entry is >= 0
-    once B >= 1 / min(a); if B max(a) leaves the double range first,
+    A is the pseudoconvexity constant, taken exactly.  Each candidate is
+    tested as the double it is, so the B returned is the B tested: the
+    entries B a_j - 1 are formed exactly as Fractions and tested by the exact
+    rule of ``core.gamma_m_contains``, all of H_1..H_m >= 0.  Every entry is
+    >= 0 once B >= 1 / min(a); if B max(a) leaves the double range first,
     DomainError says so.
     """
-    b = 1.0 / pseudoconvexity_constant(domain, m)
+    pseudoconvexity_constant(domain, m)  # its range check
     a = domain.coeffs
     h, den = core._exact_symmetric(a, m)
-    p, q = min(Fraction(h[j], math.comb(domain.n, j) * den**j)
-               for j in range(1, m + 1)).as_integer_ratio()
+    inv = 1 / min(Fraction(h[j], math.comb(domain.n, j) * den**j) for j in range(1, m + 1))
+    b = math.nextafter(b, math.inf) if Fraction(b := float(inv)) < inv else b
     while math.isfinite(b * max(a)):
-        if core._in_closed_cone([Fraction(x) * q - p for x in a], m):
-            b = float(Fraction(q, p))  # correctly rounded, so at most an ulp below
-            return b if Fraction(b) >= Fraction(q, p) else math.nextafter(b, math.inf)
-        b, q = 2.0 * b, 2 * q  # doubling is exact: b is the double 2^k / A
+        if core._in_closed_cone([Fraction(b) * Fraction(x) - 1 for x in a], m):
+            return b
+        b *= 2.0  # exact
     raise DomainError(f"B hess(rho) - I with B = {b!r} leaves the double range: B max(a) = "
                       f"{b * max(a)!r} must not exceed {sys.float_info.max!r}")
 

@@ -156,7 +156,7 @@ def cmd_barrier(args) -> int:
     result = rep.to_json_dict()
     result.update(boundary_gap=float(np.max(np.abs(vx - px))), xi_samples=args.xi_samples,
                   domain=args.domain, phi=args.phi, f=args.f,
-                  params_first=env.barriers[0].describe())
+                  params_first=env.barriers.describe())
     sys.stdout.write(_report(args, result, "barrier"))
     return 0 if rep.passed else 1
 

@@ -148,6 +148,8 @@ class TableDensity:
         f = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != f.shape or r.size < 2:
             raise ArgumentError("table needs matching 1-d arrays with >= 2 rows")
+        if not (np.isfinite(r).all() and np.isfinite(f).all()):
+            raise ArgumentError("table radii and values must be finite")
         if np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise ArgumentError("table radii must be positive and increasing")
         if np.any(f <= 0):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -18,12 +19,14 @@ CONE_GRID = (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 1e4)
 
 
 def exact_h(values, m):
-    """H_1..H_m of Fractions."""
-    h = [Fraction(1)] + [Fraction(0)] * m
+    """H_1..H_m of Fractions, run on integers over one common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    h = [1] + [0] * m
     for x in values:
+        v = x.numerator * (den // x.denominator)
         for j in range(m, 0, -1):
-            h[j] += x * h[j - 1]
-    return h[1:]
+            h[j] += v * h[j - 1]
+    return [Fraction(h[j], den**j) for j in range(1, m + 1)]
 
 
 def exact_constant(coeffs, m):
@@ -40,6 +43,32 @@ def exact_cone_h(coeffs, m, b):
 def least_double_at_or_above(x):
     b = float(x)  # nearest
     return b if Fraction(b) >= x else math.nextafter(b, math.inf)
+
+
+def rational_rule_b(coeffs, m):
+    """The least double >= 2^k / A for the least k >= 0 at which the rational
+    2^k / A passes the exact cone test: the rule that tested 2^k / A instead
+    of the double it returned."""
+    a_exact = exact_constant(coeffs, m)
+    k = 0
+    while min(exact_cone_h(coeffs, m, 2**k / a_exact)) < 0:
+        k += 1
+    return least_double_at_or_above(2**k / a_exact)
+
+
+def random_ellipsoid(n, seed):
+    return tuple(np.exp(np.random.default_rng(seed).uniform(-3.0, 3.0, n)).tolist())
+
+
+# the CONE_GRID pairs, all with m = n, where the double rounded up from
+# 2^(k-1) / A is in Gamma_n though the rational is not
+HALVED_BY_THE_DOUBLE = {
+    ((0.01, 0.01, 100.0), 3), ((0.01, 0.1, 10.0), 3), ((0.1, 0.1, 10.0), 3),
+    ((0.01, 0.01, 0.01, 1e4), 4), ((0.01, 0.01, 0.1, 1000.0), 4),
+    ((0.01, 0.01, 1.0, 100.0), 4), ((0.01, 0.01, 10.0, 10.0), 4),
+    ((0.01, 0.1, 0.1, 100.0), 4), ((0.01, 0.1, 1.0, 10.0), 4),
+    ((0.1, 0.1, 0.1, 100.0), 4), ((0.1, 0.1, 1.0, 10.0), 4),
+}
 
 
 def ones_density(z):
@@ -86,9 +115,11 @@ class TestBoundaryData:
 
 def single_barriers(env):
     """The one-row envelopes of env's barrier table: v_xi for each xi alone."""
+    rows = env.barriers
     return [
-        barrier.BarrierEnvelope(env.barriers[i], env.phi_xi[[i]], env.omega_bar, env.domain, env.m)
-        for i in range(len(env.barriers))
+        barrier.BarrierEnvelope(dataclasses.replace(rows, K2=rows.K2[[i]], xi=rows.xi[[i]]),
+                                env.phi_xi[[i]], env.omega_bar, env.domain, env.m)
+        for i in range(len(rows))
     ]
 
 
@@ -166,36 +197,42 @@ class TestPointBarrier:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cone_coefficient_is_the_least_exact_power(self, n):
         # over every multiset of coefficients from CONE_GRID and every m:
-        # B is the least double >= 2^k / A, with H_1..H_m(2^k a / A - 1) >= 0
-        # in exact rationals, and k - 1 failing; an order-m slack in doubles
-        # accepted B = 80 on (0.01, 0.01, 1000) at m = 3, with H_2 = -31,999.56.
-        # The double nearest 2^k / A lies below it on 563 of the 1,155 pairs.
+        # B = 2^k b0, b0 the least double >= 1 / A, for the least k >= 0 at
+        # which the double B itself has H_1..H_m(B a - 1) >= 0 in exact
+        # rationals.  The barrier's premise is membership of the B it uses;
+        # the rational rule's B is the round-up of 2^k / A for the least k at
+        # which the rational passes, so it is never below B, and it is 2 B
+        # where the rational 2^(k-1) / A lies just outside Gamma_n but its
+        # round-up is inside.  An order-m slack in doubles accepted B = 80 on
+        # (0.01, 0.01, 1000) at m = 3, with H_2 = -31,999.56.
         for coeffs in itertools.combinations_with_replacement(CONE_GRID, n):
             dom = Domain.ellipsoid(coeffs)
             for m in range(1, n + 1):
-                a_exact = exact_constant(coeffs, m)
+                b0 = least_double_at_or_above(1 / exact_constant(coeffs, m))
                 b = barrier.cone_coefficient(dom, m)
-                k = round(math.log2(b * a_exact))
-                assert k >= 0 and b == least_double_at_or_above(2**k / a_exact)
-                assert min(exact_cone_h(coeffs, m, 2**k / a_exact)) >= 0, (coeffs, m)
-                if k > 0:
-                    assert min(exact_cone_h(coeffs, m, 2 ** (k - 1) / a_exact)) < 0, (coeffs, m)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_cone_coefficient_keeps_the_double_in_the_cone(self, n):
-        # the B actually used, as an exact rational, has every H_j(B a - 1) >= 0,
-        # and the double below it lies under 2^k / A.  Where 2^k / A puts
-        # B a - 1 on the edge of Gamma_m, as 1/A does for every m = 1
-        # domain, a B rounded down falls outside: the double 2^k / fl(A) did
-        # on 168 of these 1,155 pairs, min H_j down to -3.8e-15
-        for coeffs in itertools.combinations_with_replacement(CONE_GRID, n):
-            dom = Domain.ellipsoid(coeffs)
-            for m in range(1, n + 1):
-                a_exact = exact_constant(coeffs, m)
-                b = barrier.cone_coefficient(dom, m)
-                k = round(math.log2(b * a_exact))
+                k = round(math.log2(b / b0))
+                assert k >= 0 and b == 2.0**k * b0, (coeffs, m)
                 assert min(exact_cone_h(coeffs, m, Fraction(b))) >= 0, (coeffs, m)
-                assert Fraction(math.nextafter(b, 0.0)) < 2**k / a_exact, (coeffs, m)
+                if k > 0:
+                    assert min(exact_cone_h(coeffs, m, Fraction(b / 2))) < 0, (coeffs, m)
+                halved = (coeffs, m) in HALVED_BY_THE_DOUBLE
+                assert b == rational_rule_b(coeffs, m) / (2 if halved else 1), (coeffs, m)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cone_coefficient_matches_the_rational_rule_on_random_ellipsoids(self, seed):
+        coeffs = random_ellipsoid(16, seed)
+        dom = Domain.ellipsoid(coeffs)
+        for m in range(1, 17):
+            assert barrier.cone_coefficient(dom, m) == rational_rule_b(coeffs, m), m
+
+    @pytest.mark.parametrize("m", [32, 62, 63])
+    def test_cone_coefficient_at_n_64_is_least_on_its_own_double(self, m):
+        # at m = 62 and 63, 2^k / A as an integer ratio carries about 3,300
+        # bits, while the entries B a_j - 1 of the double B carry about 115
+        coeffs = random_ellipsoid(64, 7)
+        b = barrier.cone_coefficient(Domain.ellipsoid(coeffs), m)
+        assert min(exact_cone_h(coeffs, m, Fraction(b))) >= 0
+        assert min(exact_cone_h(coeffs, m, Fraction(b / 2))) < 0
 
     @pytest.mark.parametrize("f_sup", [-1.0, math.nan, math.inf])
     def test_invalid_density_bound_rejected(self, f_sup):

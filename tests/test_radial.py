@@ -482,6 +482,19 @@ class TestTableDensity:
         with pytest.raises(ArgumentError):
             TableDensity([0.1, 0.5], [1.0, -1.0])
 
+    @pytest.mark.parametrize("rho, values", [
+        ([0.1, math.inf], [1.0, 2.0]),
+        ([0.1, math.nan], [1.0, 2.0]),
+        ([0.1, 0.5], [1.0, math.inf]),
+        ([0.1, 0.5], [1.0, math.nan]),
+    ])
+    def test_non_finite_table_rejected(self, rho, values):
+        # an infinite radius passed the ordering checks with exponent 0 and
+        # solved; an infinite or NaN value failed only in the solve, with a
+        # RuntimeWarning, as a profile that is not finite
+        with pytest.raises(ArgumentError, match="finite"):
+            TableDensity(rho, values)
+
 
 class TestHessianResidual:
     def test_const_form_tiny(self):
