@@ -54,8 +54,8 @@ from .geometry import Domain, pseudoconvexity_constant, sample_boundary, sample_
 from .modulus import (
     HolderFit,
     ModulusCurve,
+    _box_d2,
     _leaf_order,
-    _square_sum,
     concave_majorant,
     estimate_modulus,
     holder_fit,
@@ -84,7 +84,6 @@ class BoundaryData:
     inf_phi: float
     sup_phi: float
     anchors: np.ndarray | None = None
-    name: str = "custom"
 
     def negated(self) -> "BoundaryData":
         f = self.phi
@@ -94,7 +93,6 @@ class BoundaryData:
             inf_phi=-self.sup_phi,
             sup_phi=-self.inf_phi,
             anchors=self.anchors,
-            name=f"neg({self.name})",
         )
 
 
@@ -106,15 +104,13 @@ def _axis_point(domain: Domain, sign: float) -> np.ndarray:
 
 def boundary_re_z1(domain: Domain) -> BoundaryData:
     """phi(z) = Re z_1; exact modulus slope 1."""
-    d = domain.diameter
     x_max = float(domain.semi_axes()[0])
     return BoundaryData(
         phi=lambda z: np.asarray(z, dtype=complex)[..., 0].real,
-        omega_phi=linear_curve(1.0, d),
+        omega_phi=linear_curve(1.0, domain.diameter),
         inf_phi=-x_max,
         sup_phi=x_max,
         anchors=np.stack([_axis_point(domain, -1.0), _axis_point(domain, 1.0)]),
-        name="re_z1",
     )
 
 
@@ -125,7 +121,7 @@ def boundary_psi_sqrt(domain: Domain) -> BoundaryData:
     near Re z_1 = -1 is exactly compensated by the sphere geometry, since
     points at data-distance a sit at least sqrt(2) a apart there.
     """
-    if domain.kind != "ball" or abs(domain.radius - 1.0) > 1e-15:
+    if set(domain.coeffs) != {1.0} or abs(domain.radius - 1.0) > 1e-15:
         raise ArgumentError("psi_sqrt data is defined on the unit ball")
     return BoundaryData(
         phi=psi_example_solution,
@@ -133,20 +129,16 @@ def boundary_psi_sqrt(domain: Domain) -> BoundaryData:
         inf_phi=-1.0,
         sup_phi=0.0,
         anchors=np.stack([_axis_point(domain, -1.0), _axis_point(domain, 1.0)]),
-        name="psi_sqrt",
     )
 
 
 def boundary_const(domain: Domain, value: float) -> BoundaryData:
-    d = domain.diameter
-    curve = ModulusCurve([0.0, d], [0.0, 0.0])
     return BoundaryData(
         phi=lambda z: np.full(np.asarray(z).shape[:-1], float(value)),
-        omega_phi=curve,
+        omega_phi=ModulusCurve([0.0, domain.diameter], [0.0, 0.0]),
         inf_phi=float(value),
         sup_phi=float(value),
         anchors=np.stack([_axis_point(domain, 1.0)]),
-        name=f"const:{value!r}",
     )
 
 
@@ -170,7 +162,6 @@ def boundary_from_samples(
         inf_phi=float(vals.min()),
         sup_phi=float(vals.max()),
         anchors=np.stack([pts[order[0]], pts[order[-1]]]),
-        name="estimated",
     )
 
 
@@ -441,10 +432,9 @@ class BarrierEnvelope:
             zb = z[rows]
             brho, sz = self._point_terms(zb)
             zc = zb.T.copy()  # one contiguous array per coordinate
-            seps = (np.maximum(np.maximum(l - c[:, None], c[:, None] - h), 0.0)
-                    for c, l, h in zip(np.concatenate([zc.real, zc.imag]), lo, hi))
             # a lower bound of s on each (point, leaf) block
-            lb = _square_sum(seps) * (1.0 - SKIP_MARGIN) - tiny
+            coords = np.concatenate([zc.real, zc.imag])[:, :, None]
+            lb = _box_d2(coords, lo, hi) * (1.0 - SKIP_MARGIN) - tiny
             with np.errstate(invalid="ignore"):  # inf - inf at non-finite points
                 i, leaf = np.nonzero((lb < r1_sq) & (lb - brho[:, None] <= tau_leaf))
             # the (XI_LEAF, pairs) block of the kept (point, leaf) pairs
@@ -672,10 +662,7 @@ def verify_modulus_bound(
 
     factor = 1.0 + _density_root(f_sup_norm, m, domain)
     t = curve.t[1:]
-    w = curve.w[1:]
-    omega_at_sqrt = data.omega_phi(np.minimum(np.sqrt(t), data.omega_phi.length))
-    denom = factor * np.maximum(omega_at_sqrt, np.sqrt(t))
-    ratios = w / denom
+    ratios = curve.w[1:] / (factor * np.maximum(data.omega_phi(np.sqrt(t)), np.sqrt(t)))
     eta = float(np.max(ratios)) if ratios.size else 0.0
 
     violations = []

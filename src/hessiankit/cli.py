@@ -139,17 +139,14 @@ def cmd_modulus(args) -> int:
 def cmd_barrier(args) -> int:
     domain = geometry.Domain.parse(args.domain, n=args.n)
     data = barrier.make_boundary_data(args.phi, domain)
-    if args.f == "zero":
-        f_sup = 0.0
-    elif args.f.startswith("const:"):
-        f_sup = spec_number(args.f.split(":", 1)[1], args.f)
-    else:
-        raise ArgumentError(f"unknown density spec {args.f!r}")
+    density = radial.parse_density(args.f, args.m)
+    if not isinstance(density, radial.ConstDensity):
+        raise ArgumentError(f"barrier takes the density zero or const:c, got {args.f!r}")
     env = barrier.build_subsolution(
-        data, None, domain, m=args.m, xi_count=args.xi_samples, seed=args.seed, f_sup=f_sup
+        data, None, domain, m=args.m, xi_count=args.xi_samples, seed=args.seed, f_sup=density.c0
     )
     rep = barrier.verify_modulus_bound(
-        env, data, domain, m=args.m, f_sup_norm=f_sup,
+        env, data, domain, m=args.m, f_sup_norm=density.c0,
         grid=args.grid, bins=args.bins, seed=args.seed, ceiling=args.ceiling,
     )
     _, vx, px = env.boundary_values()

@@ -31,7 +31,6 @@ SCALE_MAX = 2.0**1020
 
 @dataclass(frozen=True)
 class Domain:
-    kind: str  # "ball" or "ellipsoid"
     n: int
     coeffs: tuple  # the diagonal a of hess rho
     radius: float = 1.0
@@ -45,7 +44,7 @@ class Domain:
             raise ArgumentError(
                 f"ball radius {radius!r} out of range: its square must lie in "
                 f"[{SCALE_MIN!r}, {SCALE_MAX!r}]")
-        return Domain(kind="ball", n=n, coeffs=(1.0,) * n, radius=radius)
+        return Domain(n=n, coeffs=(1.0,) * n, radius=radius)
 
     @staticmethod
     def ellipsoid(coeffs) -> "Domain":
@@ -56,7 +55,7 @@ class Domain:
             raise ArgumentError(
                 f"ellipsoid coefficients {a!r} out of range: each must lie in "
                 f"[{SCALE_MIN!r}, {SCALE_MAX!r}]")
-        return Domain(kind="ellipsoid", n=len(a), coeffs=a)
+        return Domain(n=len(a), coeffs=a)
 
     @staticmethod
     def parse(text: str, n: int | None = None) -> "Domain":

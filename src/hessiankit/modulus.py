@@ -97,14 +97,6 @@ def linear_curve(slope: float, length: float) -> ModulusCurve:
     return ModulusCurve(t, slope * t)
 
 
-def sampled_curve(func, length: float, knots: int = 257) -> ModulusCurve:
-    """Sample a nondecreasing function with f(0) = 0 onto a uniform grid."""
-    t = np.linspace(0.0, length, knots)
-    w = np.array([float(func(x)) for x in t])
-    w[0] = 0.0
-    return ModulusCurve(t, np.maximum.accumulate(w))
-
-
 def estimate_modulus(
     points,
     values,
@@ -192,10 +184,8 @@ def estimate_modulus(
             lo, hi = cols[:, s:e].min(axis=1), cols[:, s:e].max(axis=1)
             vlo, vhi = vals[s:e].min(), vals[s:e].max()
             bound = np.maximum(vhi - vals[:e], vals[:e] - vlo)
-            seps = (np.maximum(np.maximum(l - col[:e], col[:e] - h), 0.0)
-                    for col, l, h in zip(cols, lo, hi))
             # only points whose bound can beat the floor meet the leaf
-            rows = np.flatnonzero(curve.may_raise(bound, _square_sum(seps)))
+            rows = np.flatnonzero(curve.may_raise(bound, _box_d2(cols[:, :e], lo, hi)))
             for a in range(0, rows.size, step):
                 r = rows[a : a + step]
                 gaps = np.abs(vals[r, None] - vals[None, s:e])
@@ -259,6 +249,12 @@ def _square_sum(diffs, d2=None):
             np.square(diff, out=diff)
             d2 = diff if d2 is None else np.add(d2, diff, out=d2)
     return d2
+
+
+def _box_d2(coords, lo, hi):
+    """``_square_sum`` of the separations max(l - x, x - h, 0) from boxes [lo, hi]."""
+    return _square_sum(np.maximum(np.maximum(l - x, x - h), 0.0)
+                       for x, l, h in zip(coords, lo, hi))
 
 
 class _RunningCurve:

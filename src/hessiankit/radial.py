@@ -51,6 +51,8 @@ class ConstDensity:
     kind = "const"
 
     def __init__(self, c0: float):
+        if not math.isfinite(c0):
+            raise ArgumentError(f"constant density must be finite, got {c0!r}")
         if c0 < 0:
             raise ArgumentError("constant density must be >= 0")
         self.c0 = float(c0)
@@ -71,6 +73,8 @@ class PowerDensity:
     kind = "power"
 
     def __init__(self, alpha: float):
+        if not math.isfinite(alpha):
+            raise ArgumentError(f"power exponent must be finite, got {alpha!r}")
         if alpha <= 0:
             raise ArgumentError("power exponent must be positive")
         self.alpha = float(alpha)
@@ -92,6 +96,8 @@ class LogDensity:
     kind = "log"
 
     def __init__(self, gamma: float, m: int):
+        if not math.isfinite(gamma):
+            raise ArgumentError(f"log density exponent must be finite, got {gamma!r}")
         self.gamma = float(gamma)
         self.m = int(m)
 
@@ -699,6 +705,8 @@ def gamma_exponent(n: int, m: int, p: float, r: float = 1.0) -> float:
     """gamma_r = r / (r + m q + p q (n - m) / (p - n/m)) with q = p / (p - 1)."""
     if not 1 <= m <= n:
         raise ArgumentError(f"need 1 <= m <= n, got m={m}, n={n}")
+    if not (math.isfinite(p) and math.isfinite(r)):
+        raise ArgumentError(f"p and r must be finite, got p={p!r}, r={r!r}")
     if r < 1:
         raise ArgumentError("r must be >= 1")
     if not p > n / m:

@@ -85,8 +85,21 @@ class TestBoundaryData:
             assert np.all(vals <= data.sup_phi + 1e-12)
 
     def test_psi_sqrt_ball_only(self):
-        with pytest.raises(ArgumentError):
-            barrier.boundary_psi_sqrt(Domain.ball(2, 2.0))
+        for domain in (Domain.ball(2, 2.0), Domain.ellipsoid([1.0, 4.0])):
+            with pytest.raises(ArgumentError):
+                barrier.boundary_psi_sqrt(domain)
+        # the unit ball spelled as an ellipsoid is the same domain, with the
+        # same data and the same barrier result
+        twin = Domain.ellipsoid([1.0, 1.0])
+        pts = geometry.sample_interior(BALL, 300, seed=3)
+        runs = []
+        for domain in (BALL, twin):
+            data = barrier.boundary_psi_sqrt(domain)
+            env = barrier.build_subsolution(data, None, domain, m=2, xi_count=40, seed=5)
+            rep = barrier.verify_modulus_bound(env, data, domain, m=2, grid=400, bins=30)
+            runs.append((env(pts), rep.to_json_dict()))
+        assert np.array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
     def test_re_z1_modulus_exact(self):
         # pairs (a, w), (-a, w) realize |Re z1| gap = distance

@@ -255,13 +255,30 @@ class TestBarrierCommand:
         assert result["pass"] is False and result["violations"]
         assert code == 1
 
-    @pytest.mark.parametrize("density", ["const:-1", "const:nan", "const:inf"])
+    @pytest.mark.parametrize("density", ["const:-1", "const:nan", "const:inf",
+                                         "power:1", "log:3", "bogus"])
     def test_invalid_density_bound_exits_2(self, capsys, density):
-        code, out = run_cli(capsys, [
+        # --f takes only the zero and const:c specs of radial's --density
+        code = cli.main([
             "barrier", "--n", "2", "--m", "2", "--f", density,
             "--xi-samples", "10", "--grid", "300", "--bins", "20",
         ])
-        assert code == 2 and out == ""
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_zero_density_is_const_0(self, capsys):
+        results = []
+        for density in ("zero", "const:0"):
+            code, out = run_cli(capsys, [
+                "barrier", "--n", "2", "--m", "2", "--f", density,
+                "--xi-samples", "10", "--grid", "300", "--bins", "20",
+            ])
+            assert code == 0
+            result = json_part(out)["result"]
+            assert result.pop("f") == density
+            results.append(result)
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize("density", ["zero", "const:1"])
     def test_cone_order_out_of_range_exits_2(self, capsys, density):

@@ -13,9 +13,11 @@ from hessiankit.geometry import Domain
 class TestDomain:
     def test_parse(self):
         b = Domain.parse("ball:2", n=3)
-        assert b.kind == "ball" and b.radius == 2.0 and b.n == 3
+        assert b.coeffs == (1.0, 1.0, 1.0) and b.radius == 2.0 and b.n == 3
         e = Domain.parse("ellipsoid:1,4")
-        assert e.kind == "ellipsoid" and e.coeffs == (1.0, 4.0) and e.n == 2
+        assert e.coeffs == (1.0, 4.0) and e.radius == 1.0 and e.n == 2
+        # a domain is its coefficients and radius, however it is spelled
+        assert Domain.parse("ball:1", n=2) == Domain.parse("ellipsoid:1,1")
         with pytest.raises(ArgumentError):
             Domain.parse("cube:1", n=2)
         with pytest.raises(ArgumentError):

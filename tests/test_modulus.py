@@ -93,6 +93,9 @@ class TestModulusCurve:
         c = ModulusCurve([0.0, 1.0, 2.0], [0.0, 1.0, 1.5])
         assert c(0.5) == 0.5
         assert c(1.5) == 1.25
+        # past its length a curve holds its last value, as verify_modulus_bound
+        # relies on when it reads omega_phi at sqrt(t) beyond that length
+        assert np.array_equal(c([2.0, 2.5, 1e300, np.inf]), [1.5, 1.5, 1.5, 1.5])
 
     def test_csv_roundtrip_bit_identical(self):
         rng = np.random.default_rng(2)

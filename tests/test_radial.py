@@ -693,6 +693,27 @@ class TestGammaExponent:
             radial.gamma_exponent(2, 1, 3.0, 0.5)  # r < 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ConstDensity(math.nan),
+    lambda: ConstDensity(math.inf),
+    lambda: PowerDensity(math.nan),
+    lambda: PowerDensity(math.inf),
+    lambda: LogDensity(math.nan, 1),
+    lambda: LogDensity(math.inf, 1),
+    lambda: radial.gamma_exponent(2, 1, 3.0, math.nan),
+    lambda: radial.gamma_exponent(2, 1, 3.0, math.inf),
+    lambda: radial.gamma_exponent(2, 1, math.inf, 1.0),
+    lambda: radial.gamma_exponent(2, 1, math.nan, 1.0),
+], ids=["const-nan", "const-inf", "power-nan", "power-inf", "log-nan", "log-inf",
+        "gamma-r-nan", "gamma-r-inf", "gamma-p-inf", "gamma-p-nan"])
+def test_non_finite_parameter_rejected(make):
+    # const nan used to fail only in the solve, const inf with a RuntimeWarning;
+    # log inf solved to a zero profile; power and log nan met a DomainError in
+    # RadialProblem; gamma_exponent returned nan, or for p = nan raised DomainError
+    with pytest.raises(ArgumentError, match="finite"):
+        make()
+
+
 class TestModulusInequality:
     def test_lp_growth_bound(self):
         # |U(r1) - U(r)| <= C (r1^kappa - r^kappa) with kappa = 2 - 2n/(mp)
